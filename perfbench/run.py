@@ -138,7 +138,7 @@ def run_driver(workload, seed, seconds, trace, smoke, deadline):
         shutil.rmtree(run_dir, ignore_errors=True)
     if proc.returncode != 0:
         reason = [l for l in err.splitlines() if l.strip()]
-        raise Failure(reason[-1] if reason else
+        raise Failure(reason[-1].removeprefix("perfbench: ") if reason else
                       f"{workload}: driver exited with {proc.returncode}")
     sys.stderr.write(err)
     lines = out.rstrip("\n").split("\n")
