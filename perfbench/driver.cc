@@ -1133,8 +1133,10 @@ int Main(int argc, char** argv) {
         Served rung = session.Run("rung", gen.Stream(static_cast<size_t>(rate * rung_s)),
                                   rate, false);
         verdict[k] = judge(rung);
-        std::printf("ladder: %.0f req/s p99 %.3f ms failed %zu backlog %zu -> %s\n",
+        std::printf("ladder: %.0f req/s p99 %.3f ms failed %zu backlog %zu "
+                    "(generator late p99 %.4f ms, steal %.3f) -> %s\n",
                     rate, Percentile(rung.latency_ms, 0.99), rung.failed, rung.backlog,
+                    Percentile(rung.late_ms, 0.99), StealShare(rung),
                     verdict[k] ? "pass" : "fail");
         // Let an overloaded server drain before the next rung.
         std::this_thread::sleep_for(std::chrono::milliseconds(200));
