@@ -22,9 +22,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -66,8 +68,8 @@ using Clock = std::chrono::steady_clock;
 constexpr size_t kShards = 4;
 constexpr size_t kConnections = 4;
 // Measured rounds per run (see Main).
-constexpr size_t kRounds = 4;
-// Captured runs: chain length 10, list size drawn per run from 2..8.
+constexpr size_t kRounds = 8;
+// Captured runs: chain length 10, list sizes 2..8 in a seeded order.
 constexpr int kCaptureL = 10;
 constexpr int kCaptureDLo = 2;
 constexpr int kCaptureDHi = 8;
@@ -114,6 +116,26 @@ double Mean(const std::vector<double>& v) {
   return s / static_cast<double>(v.size());
 }
 double Ratio(double num, double den) { return den == 0.0 ? 0.0 : num / den; }
+
+/// Host reference: the time of a fixed piece of single-threaded CPU
+/// work (sorting the same 2^18 pseudo-random integers), the fastest of
+/// three tries. Printed once per round and never gated: on a shared VM
+/// it tells a host that changed speed within a run or a set of runs
+/// from a change in provlin.
+double HostReferenceMs() {
+  std::mt19937_64 rng(20100322);
+  std::vector<uint64_t> data(1u << 18);
+  for (uint64_t& x : data) x = rng();
+  double best = kInf;
+  for (int i = 0; i < 3; ++i) {
+    std::vector<uint64_t> v = data;
+    Clock::time_point t = Clock::now();
+    std::sort(v.begin(), v.end());
+    best = std::min(best, MsSince(t));
+    if (v.front() > v.back()) throw BenchError("host reference: sort failed");
+  }
+  return best;
+}
 
 // --- workloads ---------------------------------------------------------------
 
@@ -184,14 +206,21 @@ Spec MakeSpec(const std::string& workload, double seconds, bool smoke) {
     s.peak_share = 0.2;
     s.ladder_share = 0.3;
   } else if (workload == "capture") {
+    // The image the runs are captured into: 64 sealed runs, as many as
+    // `archive` reads, of the captured workflow (l=10) at the top of the
+    // captured list sizes (d=8). Served with the `focused` mix, this
+    // image saturates the server's dispatcher near 4800 req/s (p50 0.2
+    // ms at 4000 req/s, 1.2-1.6 ms at 4757, collapse at 5658). The rates
+    // are the fractions of saturation `focused` serves at (2000 and 6000
+    // of ~16000 req/s): 1/8 and 3/8, so the server stays light.
     s.image_runs = 64;
-    s.image_l = 10;
-    s.image_d = 12;
+    s.image_l = kCaptureL;
+    s.image_d = kCaptureDHi;
     s.compress = provenance::CompressMode::kSeal;
     s.compress_flag = "seal";
     s.mix = Mix::kFocused;
-    s.nominal_rps = 500;
-    s.peak_rps = 1500;
+    s.nominal_rps = 600;
+    s.peak_rps = 1800;
     s.p99_limit_ms = 50;
     s.capture_runs = 2400;
     s.nominal_share = 0.2;
@@ -707,6 +736,8 @@ struct Capture {
   double capture_share = 0;
   double capture_ms_per_krow = 0;
   double seal_ms = 0;
+  // VmHWM of the process that captured (measured runs only).
+  double peak_rss_mb = 0;
 };
 
 uint64_t FilesWithPrefix(const std::string& dir, const std::string& prefix) {
@@ -732,10 +763,19 @@ class CaptureSession {
       : spec_(spec), dir_(dir), db_(dir + "/capture.db"), spans_(spans),
         wf_(LoadSynthetic(kCaptureL)) {
     fs::copy_file(image, db_, fs::copy_options::overwrite_existing);
-    std::mt19937_64 rng(seed ^ 0xc0ffee);
-    std::uniform_int_distribution<int> dist(kCaptureDLo, kCaptureDHi);
+    // Each block of seven runs takes every list size of the range once,
+    // in an order drawn from the seed: every seed captures the same rows
+    // at nearly the same pace, so the byte and memory metrics do not
+    // move with the seed.
     ds_.resize(static_cast<size_t>(spec.capture_runs));
-    for (int& d : ds_) d = dist(rng);
+    const size_t block = static_cast<size_t>(kCaptureDHi - kCaptureDLo + 1);
+    std::mt19937_64 rng(seed ^ 0xc0ffee);
+    for (size_t at = 0; at < ds_.size(); at += block) {
+      const size_t end = std::min(ds_.size(), at + block);
+      for (size_t i = at; i < end; ++i) ds_[i] = kCaptureDLo + static_cast<int>(i - at);
+      std::shuffle(ds_.begin() + static_cast<long>(at), ds_.begin() + static_cast<long>(end),
+                   rng);
+    }
     run_ok_.resize(ds_.size());
     provenance::StoreOptions options = ImageOptions(spec, db_);
     options.wal_base = dir + "/capture.wal";
@@ -743,8 +783,6 @@ class CaptureSession {
     auto span = spans->Open("storage.open_capture_image");
     opened_.emplace(Must(provenance::OpenStore(options), "open capture image"));
   }
-
-  size_t runs() const { return ds_.size(); }
 
   /// Captures runs [begin, end), flushes, and saves the image.
   void Chunk(size_t begin, size_t end) {
@@ -905,6 +943,169 @@ Capture CaptureSession::Finish(bool traced) {
   return c;
 }
 
+/// The write side of a measured run, in a child process of its own so
+/// that the child's VmHWM is the capture side's alone (`peak_rss_mb` on
+/// `capture`). The child is forked before the driver loads anything and
+/// runs a CaptureSession on command: the parent writes one command at a
+/// time down a pipe and blocks until the child answers up another.
+class CaptureWorker {
+ public:
+  CaptureWorker(const Spec& spec, uint64_t seed, const std::string& dir,
+                const std::string& image) {
+    // Close-on-exec, so the servers spawned later do not hold the pipes.
+    int down[2], up[2];
+    if (::pipe2(down, O_CLOEXEC) != 0) throw BenchError("pipe failed");
+    if (::pipe2(up, O_CLOEXEC) != 0) throw BenchError("pipe failed");
+    std::fflush(stdout);
+    pid_ = ::fork();
+    if (pid_ < 0) throw BenchError("fork failed");
+    if (pid_ == 0) {
+      ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+      ::close(down[1]);
+      ::close(up[0]);
+      ::_exit(Child(spec, seed, dir, image, down[0], up[1]));
+    }
+    ::close(down[0]);
+    ::close(up[1]);
+    to_child_ = down[1];
+    from_child_ = up[0];
+  }
+  ~CaptureWorker() {
+    ::close(to_child_);
+    ::close(from_child_);
+    ::kill(pid_, SIGKILL);
+    ::waitpid(pid_, nullptr, 0);
+  }
+  CaptureWorker(const CaptureWorker&) = delete;
+  CaptureWorker& operator=(const CaptureWorker&) = delete;
+
+  /// Opens the capture image; call once the served image is saved.
+  void Open() { Call(kOpen, 0, 0); }
+  /// CaptureSession::Chunk in the child.
+  void Chunk(size_t begin, size_t end) { Call(kChunk, begin, end); }
+  /// CaptureSession::Finish in the child, plus the child's VmHWM.
+  Capture Finish() {
+    std::string bytes = Call(kFinish, 0, 0);
+    Capture c;
+    size_t at = 0;
+    auto get = [&](auto* v) {
+      if (at + sizeof *v > bytes.size()) throw BenchError("short capture reply");
+      std::memcpy(v, bytes.data() + at, sizeof *v);
+      at += sizeof *v;
+    };
+    size_t n_runs = 0;
+    get(&c.runs);
+    get(&c.failed);
+    get(&c.rows);
+    get(&c.phase_s);
+    get(&c.save_s);
+    get(&c.wal_bytes);
+    get(&c.image_bytes);
+    get(&c.peak_rss_mb);
+    get(&n_runs);
+    c.run_ms.resize(n_runs);
+    for (double& v : c.run_ms) get(&v);
+    return c;
+  }
+
+ private:
+  enum Op : uint64_t { kOpen, kChunk, kFinish };
+  struct Command {
+    uint64_t op, begin, end;
+  };
+
+  static void WriteAll(int fd, const void* data, size_t n) {
+    const char* p = static_cast<const char*>(data);
+    while (n > 0) {
+      ssize_t w = ::write(fd, p, n);
+      if (w < 0 && errno == EINTR) continue;
+      if (w <= 0) throw BenchError("capture process pipe closed");
+      p += w;
+      n -= static_cast<size_t>(w);
+    }
+  }
+  static void ReadAll(int fd, void* data, size_t n) {
+    char* p = static_cast<char*>(data);
+    while (n > 0) {
+      ssize_t r = ::read(fd, p, n);
+      if (r < 0 && errno == EINTR) continue;
+      if (r <= 0) throw BenchError("capture process exited unexpectedly");
+      p += r;
+      n -= static_cast<size_t>(r);
+    }
+  }
+  /// Reply: [u8 ok][u64 length][bytes]; the bytes are the error message
+  /// when ok is 0.
+  static void Reply(int fd, bool ok, const std::string& bytes) {
+    const uint8_t flag = ok;
+    const uint64_t len = bytes.size();
+    WriteAll(fd, &flag, 1);
+    WriteAll(fd, &len, sizeof len);
+    WriteAll(fd, bytes.data(), bytes.size());
+  }
+
+  std::string Call(Op op, size_t begin, size_t end) {
+    const Command cmd{op, begin, end};
+    WriteAll(to_child_, &cmd, sizeof cmd);
+    uint8_t ok = 0;
+    uint64_t len = 0;
+    ReadAll(from_child_, &ok, 1);
+    ReadAll(from_child_, &len, sizeof len);
+    std::string bytes(len, '\0');
+    ReadAll(from_child_, bytes.data(), len);
+    if (!ok) throw BenchError(bytes);
+    return bytes;
+  }
+
+  static int Child(const Spec& spec, uint64_t seed, const std::string& dir,
+                   const std::string& image, int in, int out) {
+    try {
+      SpanLog spans;
+      std::optional<CaptureSession> session;
+      for (;;) {
+        Command cmd{};
+        ReadAll(in, &cmd, sizeof cmd);
+        if (cmd.op == kOpen) {
+          session.emplace(spec, seed, dir, image, &spans);
+          Reply(out, true, "");
+        } else if (cmd.op == kChunk) {
+          session->Chunk(cmd.begin, cmd.end);
+          Reply(out, true, "");
+        } else {
+          Capture c = session->Finish(false);
+          c.peak_rss_mb = ProcessPeakRssMb(::getpid());
+          std::string bytes;
+          auto put = [&](const auto& v) {
+            bytes.append(reinterpret_cast<const char*>(&v), sizeof v);
+          };
+          put(c.runs);
+          put(c.failed);
+          put(c.rows);
+          put(c.phase_s);
+          put(c.save_s);
+          put(c.wal_bytes);
+          put(c.image_bytes);
+          put(c.peak_rss_mb);
+          put(c.run_ms.size());
+          for (double v : c.run_ms) put(v);
+          Reply(out, true, bytes);
+          return 0;
+        }
+      }
+    } catch (const std::exception& e) {
+      try {
+        Reply(out, false, e.what());
+      } catch (const std::exception&) {
+      }
+      return 1;
+    }
+  }
+
+  pid_t pid_ = -1;
+  int to_child_ = -1;
+  int from_child_ = -1;
+};
+
 // --- output -------------------------------------------------------------------
 
 struct Metric {
@@ -1010,10 +1211,14 @@ int Main(int argc, char** argv) {
   std::printf("perfbench: workload=%s seed=%llu seconds=%g trace=%d%s\n",
               spec.name.c_str(), static_cast<unsigned long long>(args.seed),
               args.seconds, args.trace ? 1 : 0, args.smoke ? " smoke" : "");
+  const std::string image = args.dir + "/served.db";
+  // The measured run captures in a child process forked now, while the
+  // driver holds next to nothing (see CaptureWorker).
+  std::optional<CaptureWorker> worker;
+  if (!args.trace) worker.emplace(spec, args.seed, args.dir, image);
 
   // 1. Served image; its shape is fixed per workload.
   std::unique_ptr<Workflow> wf = LoadSynthetic(spec.image_l);
-  const std::string image = args.dir + "/served.db";
   {
     auto span = spans.Open("fixture.build_image");
     Clock::time_point t = Clock::now();
@@ -1027,9 +1232,15 @@ int Main(int argc, char** argv) {
   // Flush dirty pages left by the fixture (and by earlier runs) so their
   // writeback does not land inside a measured phase.
   ::sync();
-  // 2. Write side. Its chunks run between the served slices (untraced)
-  // or back to back (traced).
-  CaptureSession capture(spec, args.seed, args.dir, image, &spans);
+  // 2. Write side. Its chunks run between the served slices in the
+  // capture process (untraced) or back to back in this one (traced).
+  std::optional<CaptureSession> capture;
+  if (worker) {
+    worker->Open();
+  } else {
+    capture.emplace(spec, args.seed, args.dir, image, &spans);
+  }
+  const size_t capture_runs = static_cast<size_t>(spec.capture_runs);
   // 3. Reference engine and the answer checks that need no server.
   std::optional<Oracle> oracle;
   {
@@ -1100,18 +1311,24 @@ int Main(int argc, char** argv) {
     const size_t n_peak = static_cast<size_t>(spec.peak_rps * S * spec.peak_share);
     std::vector<Query> peak_q = gen.Stream(std::max<size_t>(n_peak, 20));
     std::vector<Served> nominal_parts, peak_parts;
+    std::vector<double> host_ref;
     for (size_t r = 0; r < kRounds; ++r) {
       spinners.reset();
-      capture.Chunk(r * capture.runs() / kRounds, (r + 1) * capture.runs() / kRounds);
+      host_ref.push_back(HostReferenceMs());
+      worker->Chunk(r * capture_runs / kRounds, (r + 1) * capture_runs / kRounds);
       spinners.emplace();
-      nominal_parts.push_back(session.Run("nominal", Slice(nominal_q, r, kRounds),
-                                          spec.nominal_rps, false));
-      peak_parts.push_back(
+      const Served& n = nominal_parts.emplace_back(session.Run(
+          "nominal", Slice(nominal_q, r, kRounds), spec.nominal_rps, false));
+      const Served& p = peak_parts.emplace_back(
           session.Run("peak", Slice(peak_q, r, kRounds), spec.peak_rps, false));
+      std::printf("round %zu: host reference %.3f ms; nominal p50 %.4f ms, "
+                  "%.1f us CPU/req; peak p50 %.4f ms\n",
+                  r + 1, host_ref.back(), n.P(0.5),
+                  Ratio(n.server_cpu_s * 1e6, static_cast<double>(n.ok())), p.P(0.5));
     }
     Served nominal = Concat(std::move(nominal_parts));
     Served peak = Concat(std::move(peak_parts));
-    double rss = ProcessPeakRssMb(server->pid());
+    const double server_rss = ProcessPeakRssMb(server->pid());
     progress("capture, nominal and peak rounds done");
 
     // Ladder: rung k runs at peak * 2^(k/8); rung 0 is the peak phase.
@@ -1166,8 +1383,10 @@ int Main(int argc, char** argv) {
     server->Stop();
     spinners.reset();
     progress("ladder done");
-    const Capture cap = capture.Finish(false);
+    const Capture cap = worker->Finish();
     print_capture(cap);
+    std::printf("VmHWM: server %.2f MB, capture process %.2f MB\n", server_rss,
+                cap.peak_rss_mb);
     const size_t attempted = cap.runs + nominal.n() + peak.n();
     const size_t failed = cap.failed + nominal.failed + peak.failed;
     const double steal = StealShare(nominal);
@@ -1197,12 +1416,19 @@ int Main(int argc, char** argv) {
                          static_cast<double>(attempted)),
                    "ratio", SampleNote(attempted)});
     out.push_back({"setup_s", Median(setups), "s", SampleNote(setups.size())});
-    out.push_back({"peak_rss_mb", rss, "MB", "(server VmHWM)"});
+    // The server's footprint on the served workloads, the capture
+    // process's on `capture`.
+    if (spec.name == "capture") {
+      out.push_back({"peak_rss_mb", cap.peak_rss_mb, "MB", "(capture process VmHWM)"});
+    } else {
+      out.push_back({"peak_rss_mb", server_rss, "MB", "(server VmHWM)"});
+    }
     out.push_back({"capture_rows_per_s", Ratio(static_cast<double>(cap.rows), cap.phase_s),
                    "rows/s", SampleNote(cap.rows)});
     out.push_back({"run_p50_ms", WindowedPercentile(cap.run_ms, 0.5), "ms", SampleNote(cap.runs)});
     out.push_back({"run_p99_ms", WindowedPercentile(cap.run_ms, 0.99), "ms", SampleNote(cap.runs)});
-    out.push_back({"save_s", cap.save_s, "s", "(median of 4 Saves)"});
+    out.push_back({"host_ref_ms", Median(host_ref), "ms", "(median of the rounds)"});
+    out.push_back({"save_s", cap.save_s, "s", "(median of " + std::to_string(kRounds) + " Saves)"});
     out.push_back({"written_bytes_per_row",
                    Ratio(static_cast<double>(cap.wal_bytes + cap.image_bytes),
                          static_cast<double>(cap.rows)),
@@ -1214,10 +1440,12 @@ int Main(int argc, char** argv) {
 
   // --- traced run: per-layer metrics ------------------------------------------
   spinners.reset();
+  const double host_ref = HostReferenceMs();
+  std::printf("host reference %.3f ms\n", host_ref);
   for (size_t r = 0; r < kRounds; ++r) {
-    capture.Chunk(r * capture.runs() / kRounds, (r + 1) * capture.runs() / kRounds);
+    capture->Chunk(r * capture_runs / kRounds, (r + 1) * capture_runs / kRounds);
   }
-  const Capture cap = capture.Finish(true);
+  const Capture cap = capture->Finish(true);
   print_capture(cap);
   spinners.emplace();
   Served plain = session.Run("nominal", nominal_q, spec.nominal_rps, false);
@@ -1468,6 +1696,7 @@ int Main(int argc, char** argv) {
   out.push_back({"driver.late_p99_ms", Percentile(plain.late_ms, 0.99), "ms", ""});
   out.push_back({"driver.steal_share", Ratio(steal_jiffies, total_jiffies), "ratio", ""});
   out.push_back({"driver.trace_overhead", Ratio(traced.P(0.5), plain.P(0.5)), "ratio", ""});
+  out.push_back({"driver.host_ref_ms", host_ref, "ms", ""});
 
   std::printf("span self time (in-process replay):\n");
   for (const auto& [name, st] : spans.SelfTimes()) {

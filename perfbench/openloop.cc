@@ -9,6 +9,7 @@
 #include <sched.h>
 #include <sys/prctl.h>
 #include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -321,18 +322,14 @@ double Delta(const Scrape& before, const Scrape& after,
 }
 
 double ProcessCpuSeconds(pid_t pid) {
-  std::string stat = ReadFile("/proc/" + std::to_string(pid) + "/stat");
-  size_t paren = stat.rfind(')');
-  if (paren == std::string::npos) throw BenchError("bad /proc/<pid>/stat");
-  std::istringstream fields(stat.substr(paren + 1));
-  std::vector<std::string> tok;
-  std::string t;
-  while (fields >> t) tok.push_back(t);
-  // Field 3 (state) is tok[0]; utime and stime are fields 14 and 15.
-  if (tok.size() < 13) throw BenchError("short /proc/<pid>/stat");
-  double ticks = std::strtod(tok[11].c_str(), nullptr) +
-                 std::strtod(tok[12].c_str(), nullptr);
-  return ticks / static_cast<double>(::sysconf(_SC_CLK_TCK));
+  // The process's CPU-time clock has nanosecond resolution; utime and
+  // stime in /proc/<pid>/stat come in 10 ms ticks.
+  clockid_t clock;
+  timespec ts{};
+  if (::clock_getcpuclockid(pid, &clock) != 0 || ::clock_gettime(clock, &ts) != 0) {
+    throw BenchError("cannot read the CPU time of process " + std::to_string(pid));
+  }
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 double ProcessPeakRssMb(pid_t pid) {
@@ -372,8 +369,19 @@ IdleSpinners::IdleSpinners() {
       CPU_ZERO(&set);
       CPU_SET(cpu, &set);
       ::pthread_setaffinity_np(::pthread_self(), sizeof set, &set);
+      // SCHED_IDLE yields only to threads of the same scheduling group.
+      // With session autogroups, kernel threads and other sessions
+      // compete with this one as a whole, so a spinner that never
+      // sleeps can hold a per-CPU kernel thread off its CPU for seconds
+      // (seen as workqueue lockups and an RCU stall, with server
+      // start-ups blocked on I/O). A 10 us nap after every millisecond
+      // of spinning gives them the CPU.
+      ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+      const timespec nap{0, 10000};
       while (!stop_.load(std::memory_order_relaxed)) {
-        __builtin_ia32_pause();
+        const Clock::time_point until = Clock::now() + std::chrono::milliseconds(1);
+        while (Clock::now() < until) __builtin_ia32_pause();
+        ::nanosleep(&nap, nullptr);
       }
     });
   }

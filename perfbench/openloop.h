@@ -100,7 +100,8 @@ Scrape ScrapeStats(Connection* conn, uint64_t request_id);
 double Delta(const Scrape& before, const Scrape& after,
              const std::string& name);
 
-/// utime + stime of a process, in seconds (/proc/<pid>/stat).
+/// User + system CPU time of a process, in seconds, read from its
+/// CPU-time clock (clock_getcpuclockid) at nanosecond resolution.
 double ProcessCpuSeconds(pid_t pid);
 /// VmHWM of a process, in MiB (/proc/<pid>/status).
 double ProcessPeakRssMb(pid_t pid);
@@ -114,8 +115,10 @@ CpuJiffies ReadCpuJiffies();
 
 /// While alive, keeps every CPU busy with one lowest-priority
 /// (SCHED_IDLE) spinning thread each, pinned one per CPU. Any ordinary
-/// thread that wakes preempts a spinner at once, so on a VM a wake-up
-/// never waits for the hypervisor to reschedule a halted vCPU. The
+/// thread of this session (the driver and the server it spawned) that
+/// wakes preempts a spinner at once, so on a VM a wake-up never waits
+/// for the hypervisor to reschedule a halted vCPU. Each spinner naps
+/// briefly every millisecond so kernel threads get their CPU. The
 /// spinners are threads of this process; the destructor joins them.
 class IdleSpinners {
  public:
