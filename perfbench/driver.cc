@@ -658,6 +658,18 @@ class Session {
     double cpu0 = ProcessCpuSeconds(server_pid_);
     const double drain_s = 10.0;
     PhaseResult r = RunOpenLoop(&conns_, frames, first, rate, drain_s);
+    const size_t unanswered = static_cast<size_t>(std::count_if(
+        r.outcomes.begin(), r.outcomes.end(),
+        [](const Outcome& o) { return o.payload.empty(); }));
+    if (unanswered > 0 && !reported_stall_) {
+      // Once per run: what the server's threads were doing when the
+      // phase gave up on its last answers.
+      reported_stall_ = true;
+      std::printf("phase %s: %zu of %zu requests unanswered %.0f s after the last "
+                  "send; server threads (tid:state:wchan): %s\n",
+                  name.c_str(), unanswered, queries.size(), drain_s,
+                  ThreadStates(server_pid_).c_str());
+    }
     s.server_cpu_s = ProcessCpuSeconds(server_pid_) - cpu0;
     const CpuJiffies j1 = ReadCpuJiffies();
     s.jiffies = {j1.total - j0.total, j1.steal - j0.steal};
@@ -714,6 +726,7 @@ class Session {
   pid_t server_pid_;
   Oracle* oracle_;
   uint64_t next_id_ = 1;
+  bool reported_stall_ = false;
 };
 
 // --- capture phase -------------------------------------------------------------

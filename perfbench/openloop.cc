@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -342,6 +343,23 @@ double ProcessPeakRssMb(pid_t pid) {
     }
   }
   throw BenchError("no VmHWM in /proc/<pid>/status");
+}
+
+std::string ThreadStates(pid_t pid) {
+  std::string out;
+  const std::string dir = "/proc/" + std::to_string(pid) + "/task";
+  std::error_code ec;
+  for (const auto& task : std::filesystem::directory_iterator(dir, ec)) {
+    std::ifstream stat(task.path() / "stat"), wchan(task.path() / "wchan");
+    std::string line, where;
+    std::getline(stat, line);
+    std::getline(wchan, where);
+    const size_t paren = line.rfind(')');
+    const char state = paren + 2 < line.size() ? line[paren + 2] : '?';
+    if (!out.empty()) out += ' ';
+    out += task.path().filename().string() + ':' + state + ':' + (where.empty() ? "-" : where);
+  }
+  return ec ? "unreadable" : out;
 }
 
 CpuJiffies ReadCpuJiffies() {

@@ -105,6 +105,9 @@ double Delta(const Scrape& before, const Scrape& after,
 double ProcessCpuSeconds(pid_t pid);
 /// VmHWM of a process, in MiB (/proc/<pid>/status).
 double ProcessPeakRssMb(pid_t pid);
+/// Every thread of a process as "tid:state:wchan", space-separated
+/// (/proc/<pid>/task); for diagnosing a server that stopped answering.
+std::string ThreadStates(pid_t pid);
 
 /// Machine-wide CPU jiffies from /proc/stat, for the steal share.
 struct CpuJiffies {
