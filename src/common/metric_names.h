@@ -36,6 +36,7 @@ inline constexpr std::string_view kCounterNames[] = {
     "storage/segment_entries_examined",
     "storage/segment_searches",
     "storage/segment_block_decodes",
+    "storage/segment_rows_materialized",
     // write-ahead log
     "wal/appends",
     "wal/bytes",

@@ -321,6 +321,8 @@ struct SealedProbeMetrics {
       common::metrics::GetCounter("storage/segment_searches");
   common::metrics::Counter* blocks =
       common::metrics::GetCounter("storage/segment_block_decodes");
+  common::metrics::Counter* rows_materialized =
+      common::metrics::GetCounter("storage/segment_rows_materialized");
   common::metrics::Counter* index_probes =
       common::metrics::GetCounter("storage/index_probes");
   common::metrics::Counter* rows_examined =
@@ -352,6 +354,7 @@ void CreditSealedProbe(size_t queries, const Segment::ProbeCounts& counts,
   mx.entries->Add(counts.entries_examined);
   mx.searches->Add(counts.searches);
   mx.blocks->Add(counts.blocks_decoded);
+  mx.rows_materialized->Add(counts.rows_materialized);
   mx.index_probes->Add(queries);
   mx.rows_examined->Add(counts.entries_examined);
   mx.descents->Add(counts.searches);

@@ -1,6 +1,7 @@
 #include "storage/segment.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <unordered_map>
 
@@ -297,14 +298,39 @@ struct ViewStream {
   }
 };
 
+/// One row block decoded into flat columns, with no per-row
+/// allocation. sides[0]/sides[1] are xform in/out or xfer src/dst, in
+/// stream order; a side holds one slot per row whose side is present,
+/// in row order.
+struct BlockColumns {
+  struct Side {
+    std::vector<int32_t> slot;     // xform, per row: slot or -1 when null
+    std::vector<uint64_t> pairs;   // per slot: packed IdPair
+    std::vector<int32_t> parts;    // every slot's path, concatenated
+    std::vector<size_t> path_off;  // slot k's path: parts[off[k], off[k+1])
+    std::vector<int64_t> values;   // per slot; empty for the xfer dst side
+
+    IndexPath Path(size_t k) const {
+      return IndexPath(parts.begin() + static_cast<ptrdiff_t>(path_off[k]),
+                       parts.begin() + static_cast<ptrdiff_t>(path_off[k + 1]));
+    }
+  };
+  std::vector<int64_t> events;  // xform, per row
+  Side sides[2];
+};
+
 }  // namespace
 
 struct Segment::Scratch::Impl {
   const Segment::Rep* bound = nullptr;
   ViewStream streams[kNumViews];
-  // Materialized row blocks, keyed by block index. Never evicted for
-  // the scratch's lifetime, so emitted Row& stay valid.
-  std::unordered_map<size_t, std::vector<Row>> row_blocks;
+  // Row blocks decoded into columns, keyed by block index: each block a
+  // probe touches is decoded once per scratch.
+  std::unordered_map<size_t, BlockColumns> blocks;
+  // Rows built for emitted ordinals only, keyed by ordinal. Node-based
+  // and never evicted for the scratch's lifetime, so emitted Row& stay
+  // valid.
+  std::unordered_map<uint64_t, Row> rows;
 };
 
 Segment::Scratch::Scratch() : impl_(std::make_unique<Impl>()) {}
@@ -823,117 +849,72 @@ Result<Segment> Segment::FromBytes(
 
 namespace {
 
-Status DecodeRowBlockInto(const Segment::Rep& rep, size_t b,
-                          std::vector<Row>* out) {
+/// The one row-block decoder: block `b` into `cols`, reusing its
+/// buffers. Reads stay bounds-checked; a failure means the buffer no
+/// longer matches what FromBytes validated.
+Status DecodeRowBlock(const Segment::Rep& rep, size_t b, BlockColumns* cols) {
   const auto& ref = rep.row_blocks[b];
   const auto* base =
       reinterpret_cast<const uint8_t*>(rep.bytes->data()) + ref.offset;
   Dec d{base, base + ref.len};
   const size_t n = ref.count;
-  const Datum run_datum(static_cast<int64_t>(rep.run));
-  out->clear();
-  out->reserve(n);
+  IndexPath path;  // previous path of the current delta chain
 
-  // Decodes one side's streams into per-present-row vectors.
-  auto read_side = [&](size_t count, std::vector<uint64_t>* pairs,
-                       std::vector<IndexPath>* paths,
-                       std::vector<int64_t>* values) -> Status {
+  auto read_side = [&](size_t count, bool with_values,
+                       BlockColumns::Side* side) -> bool {
     RunReader runs;
-    pairs->resize(count);
-    for (size_t i = 0; i < count; ++i) {
-      if (!runs.Next(d, rep.pair_dict, &(*pairs)[i], nullptr)) {
-        return Status::Internal("segment: pair decode after validation");
-      }
+    side->pairs.resize(count);
+    for (uint64_t& pair : side->pairs) {
+      if (!runs.Next(d, rep.pair_dict, &pair, nullptr)) return false;
     }
-    IndexPath path;
-    paths->resize(count);
-    for (size_t i = 0; i < count; ++i) {
-      if (!ReadPathDelta(d, path)) {
-        return Status::Internal("segment: path decode after validation");
-      }
-      (*paths)[i] = path;
+    path.clear();
+    side->parts.clear();
+    side->path_off.assign(1, 0);
+    side->path_off.reserve(count + 1);
+    for (size_t k = 0; k < count; ++k) {
+      if (!ReadPathDelta(d, path)) return false;
+      side->parts.insert(side->parts.end(), path.begin(), path.end());
+      side->path_off.push_back(side->parts.size());
     }
-    if (values != nullptr) {
-      values->resize(count);
-      int64_t prev = 0;
-      for (size_t i = 0; i < count; ++i) {
-        int64_t delta;
-        if (!d.S64(&delta)) {
-          return Status::Internal("segment: value decode after validation");
-        }
-        prev = ApplyDelta(prev, delta);
-        (*values)[i] = prev;
-      }
+    side->values.resize(with_values ? count : 0);
+    int64_t prev = 0;
+    for (int64_t& value : side->values) {
+      int64_t delta;
+      if (!d.S64(&delta)) return false;
+      value = prev = ApplyDelta(prev, delta);
     }
-    return Status::OK();
+    return true;
   };
 
-  if (rep.kind == Segment::Kind::kXform) {
-    std::vector<int64_t> events(n);
+  // Xfer sides are never null; only the src side carries values.
+  const bool xform = rep.kind == Segment::Kind::kXform;
+  size_t present[2] = {n, n};
+  if (xform) {
+    cols->events.resize(n);
     int64_t prev = 0;
-    for (size_t i = 0; i < n; ++i) {
+    for (int64_t& event : cols->events) {
       int64_t delta;
       if (!d.S64(&delta)) return Status::Internal("segment: event decode");
-      prev = ApplyDelta(prev, delta);
-      events[i] = prev;
+      event = prev = ApplyDelta(prev, delta);
     }
-    size_t nbytes = (n + 7) / 8;
-    std::vector<bool> has_in(n), has_out(n);
-    size_t n_in = 0, n_out = 0;
-    for (int s = 0; s < 2; ++s) {
-      std::vector<bool>& flags = s == 0 ? has_in : has_out;
-      size_t& tally = s == 0 ? n_in : n_out;
-      for (size_t i = 0; i < nbytes; ++i) {
-        uint8_t byte;
-        if (!d.U8(&byte)) return Status::Internal("segment: bitmap decode");
-        for (size_t bit = 0; bit < 8 && i * 8 + bit < n; ++bit) {
-          bool set = (byte >> bit) & 1u;
-          flags[i * 8 + bit] = set;
-          if (set) ++tally;
+    // Presence bitmaps become per-side slots.
+    for (size_t s = 0; s < 2; ++s) {
+      std::vector<int32_t>& slot = cols->sides[s].slot;
+      slot.resize(n);
+      present[s] = 0;
+      uint8_t byte = 0;
+      for (size_t i = 0; i < n; ++i) {
+        if (i % 8 == 0 && !d.U8(&byte)) {
+          return Status::Internal("segment: bitmap decode");
         }
+        slot[i] = (byte >> (i % 8)) & 1u ? static_cast<int32_t>(present[s]++)
+                                         : -1;
       }
     }
-    std::vector<uint64_t> in_pairs, out_pairs;
-    std::vector<IndexPath> in_paths, out_paths;
-    std::vector<int64_t> in_values, out_values;
-    PROVLIN_RETURN_IF_ERROR(read_side(n_in, &in_pairs, &in_paths, &in_values));
-    PROVLIN_RETURN_IF_ERROR(
-        read_side(n_out, &out_pairs, &out_paths, &out_values));
-    size_t ic = 0, oc = 0;
-    for (size_t i = 0; i < n; ++i) {
-      Row row(xform_col::kWidth);
-      row[xform_col::kRun] = run_datum;
-      row[xform_col::kEvent] = Datum(events[i]);
-      if (has_in[i]) {
-        row[xform_col::kIn] = Datum(IdPair::FromPacked(in_pairs[ic]));
-        row[xform_col::kInIndex] = Datum(in_paths[ic]);
-        row[xform_col::kInValue] = Datum(in_values[ic]);
-        ++ic;
-      }
-      if (has_out[i]) {
-        row[xform_col::kOut] = Datum(IdPair::FromPacked(out_pairs[oc]));
-        row[xform_col::kOutIndex] = Datum(out_paths[oc]);
-        row[xform_col::kOutValue] = Datum(out_values[oc]);
-        ++oc;
-      }
-      out->push_back(std::move(row));
-    }
-  } else {
-    std::vector<uint64_t> src_pairs, dst_pairs;
-    std::vector<IndexPath> src_paths, dst_paths;
-    std::vector<int64_t> values;
-    PROVLIN_RETURN_IF_ERROR(read_side(n, &src_pairs, &src_paths, &values));
-    PROVLIN_RETURN_IF_ERROR(read_side(n, &dst_pairs, &dst_paths, nullptr));
-    for (size_t i = 0; i < n; ++i) {
-      Row row(xfer_col::kWidth);
-      row[xfer_col::kRun] = run_datum;
-      row[xfer_col::kSrc] = Datum(IdPair::FromPacked(src_pairs[i]));
-      row[xfer_col::kSrcIndex] = Datum(src_paths[i]);
-      row[xfer_col::kDst] = Datum(IdPair::FromPacked(dst_pairs[i]));
-      row[xfer_col::kDstIndex] = Datum(dst_paths[i]);
-      row[xfer_col::kValue] = Datum(values[i]);
-      out->push_back(std::move(row));
-    }
+  }
+  if (!read_side(present[0], true, &cols->sides[0]) ||
+      !read_side(present[1], xform, &cols->sides[1])) {
+    return Status::Internal("segment: side decode after validation");
   }
   if (d.remaining() != 0) {
     return Status::Internal("segment: row block not consumed");
@@ -941,15 +922,50 @@ Status DecodeRowBlockInto(const Segment::Rep& rep, size_t b,
   return Status::OK();
 }
 
+/// Builds row `i` of a block decoded by DecodeRowBlock.
+Row MaterializeRow(const Segment::Rep& rep, const BlockColumns& cols,
+                   size_t i) {
+  const Datum run(static_cast<int64_t>(rep.run));
+  if (rep.kind == Segment::Kind::kXfer) {
+    const BlockColumns::Side& src = cols.sides[0];
+    const BlockColumns::Side& dst = cols.sides[1];
+    Row row(xfer_col::kWidth);
+    row[xfer_col::kRun] = run;
+    row[xfer_col::kSrc] = Datum(IdPair::FromPacked(src.pairs[i]));
+    row[xfer_col::kSrcIndex] = Datum(src.Path(i));
+    row[xfer_col::kDst] = Datum(IdPair::FromPacked(dst.pairs[i]));
+    row[xfer_col::kDstIndex] = Datum(dst.Path(i));
+    row[xfer_col::kValue] = Datum(src.values[i]);
+    return row;
+  }
+  static constexpr size_t kSideCols[2][3] = {
+      {xform_col::kIn, xform_col::kInIndex, xform_col::kInValue},
+      {xform_col::kOut, xform_col::kOutIndex, xform_col::kOutValue}};
+  Row row(xform_col::kWidth);
+  row[xform_col::kRun] = run;
+  row[xform_col::kEvent] = Datum(cols.events[i]);
+  for (size_t s = 0; s < 2; ++s) {
+    const BlockColumns::Side& side = cols.sides[s];
+    if (side.slot[i] < 0) continue;
+    const auto k = static_cast<size_t>(side.slot[i]);
+    row[kSideCols[s][0]] = Datum(IdPair::FromPacked(side.pairs[k]));
+    row[kSideCols[s][1]] = Datum(side.Path(k));
+    row[kSideCols[s][2]] = Datum(side.values[k]);
+  }
+  return row;
+}
+
 }  // namespace
 
 Result<std::vector<Row>> Segment::DecodeAllRows() const {
   std::vector<Row> rows;
   rows.reserve(rep_->nrows);
-  std::vector<Row> block;
+  BlockColumns cols;
   for (size_t b = 0; b < rep_->row_blocks.size(); ++b) {
-    PROVLIN_RETURN_IF_ERROR(DecodeRowBlockInto(*rep_, b, &block));
-    for (Row& r : block) rows.push_back(std::move(r));
+    PROVLIN_RETURN_IF_ERROR(DecodeRowBlock(*rep_, b, &cols));
+    for (size_t i = 0; i < rep_->row_blocks[b].count; ++i) {
+      rows.push_back(MaterializeRow(*rep_, cols, i));
+    }
   }
   return rows;
 }
@@ -1070,16 +1086,24 @@ Status Segment::ProbeView(
   while (!st.exhausted && !EntryAboveHi(st.cur_pair, st.cur_path, probe)) {
     ++counts->entries_examined;
     if (!probe.has_residual || PathExtends(st.cur_path, probe.residual)) {
-      size_t ord = static_cast<size_t>(st.cur_ord);
-      size_t block = ord / kRowsPerBlock;
-      auto it = impl->row_blocks.find(block);
-      if (it == impl->row_blocks.end()) {
-        std::vector<Row> rows;
-        PROVLIN_RETURN_IF_ERROR(DecodeRowBlockInto(*rep_, block, &rows));
-        ++counts->blocks_decoded;
-        it = impl->row_blocks.emplace(block, std::move(rows)).first;
+      const auto ord = static_cast<uint64_t>(st.cur_ord);
+      auto row = impl->rows.find(ord);
+      if (row == impl->rows.end()) {
+        const size_t block = ord / kRowsPerBlock;
+        auto cols = impl->blocks.find(block);
+        if (cols == impl->blocks.end()) {
+          BlockColumns decoded;
+          PROVLIN_RETURN_IF_ERROR(DecodeRowBlock(*rep_, block, &decoded));
+          ++counts->blocks_decoded;
+          cols = impl->blocks.emplace(block, std::move(decoded)).first;
+        }
+        row = impl->rows
+                  .emplace(ord, MaterializeRow(*rep_, cols->second,
+                                               ord % kRowsPerBlock))
+                  .first;
+        ++counts->rows_materialized;
       }
-      emit(static_cast<uint64_t>(ord), it->second[ord % kRowsPerBlock]);
+      emit(ord, row->second);
     }
     st.Advance();
   }

@@ -17,8 +17,10 @@ namespace provlin::storage {
 /// sealed run keeps only this byte string in memory, and probes answer
 /// directly on it — binary search over per-block first keys, then a
 /// bounds-checked delta scan inside the one block (or few blocks) a
-/// probe touches. Matching rows are materialized transiently into a
-/// caller-owned Scratch; nothing decoded outlives the probe.
+/// probe touches. Each row block a probe's matches live in is decoded
+/// once into flat columns, and a Row is built only for each ordinal the
+/// probe emits — both held by a caller-owned Scratch; nothing decoded
+/// outlives it.
 ///
 /// Two row layouts are supported, mirroring the provenance schema
 /// (provenance/schema.cc) without depending on it:
@@ -59,8 +61,8 @@ class Segment {
   enum class Kind : uint8_t { kXform = 0, kXfer = 1 };
 
   /// Rows per encoded block, for both row blocks and view blocks. The
-  /// unit of transient decode: probes never materialize more than the
-  /// blocks their matches live in.
+  /// unit of transient decode: probes never decode more than the blocks
+  /// their matches live in, and never build rows they do not emit.
   static constexpr size_t kRowsPerBlock = 512;
 
   /// Per-view inclusive probe bounds over (pair, path). An unset bound
@@ -87,17 +89,20 @@ class Segment {
   /// Physical cost of a probe, reported back to the caller (the trace
   /// store maps these onto the storage counters: searches ~ descents).
   struct ProbeCounts {
-    uint64_t entries_examined = 0;  // entries inside the probe bounds
-    uint64_t searches = 0;          // fresh directory binary searches
-    uint64_t blocks_decoded = 0;    // row blocks materialized
+    uint64_t entries_examined = 0;   // entries inside the probe bounds
+    uint64_t searches = 0;           // fresh directory binary searches
+    uint64_t blocks_decoded = 0;     // row blocks decoded into columns
+    uint64_t rows_materialized = 0;  // Rows built for emitted ordinals
   };
 
-  /// Per-probe-call decode workspace: cached materialized row blocks
-  /// plus per-view stream positions so a sorted sequence of probes
-  /// continues forward instead of re-searching (the MultiSeek
-  /// equivalent). Row references handed to emit callbacks point into
-  /// the scratch and stay valid for the scratch's lifetime — nothing is
-  /// evicted. Use one Scratch per logical probe batch and drop it.
+  /// Per-probe-call decode workspace: the row blocks probes touched,
+  /// each decoded once into flat columns, the Rows built from them for
+  /// emitted ordinals, and per-view stream positions so a sorted
+  /// sequence of probes continues forward instead of re-searching (the
+  /// MultiSeek equivalent). Row references handed to emit callbacks
+  /// point into the scratch and stay valid for the scratch's lifetime —
+  /// nothing is evicted, and an ordinal emitted twice yields the same
+  /// Row. Use one Scratch per logical probe batch and drop it.
   class Scratch {
    public:
     Scratch();

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -387,6 +388,139 @@ TEST(SegmentTest, ScratchRowReferencesStayValid) {
   for (size_t i = 0; i < pinned.size(); ++i) {
     EXPECT_EQ(*pinned[i], copies[i]) << "row reference " << i << " invalidated";
   }
+}
+
+/// Xfer rows whose src path is {i}: every (src pair, path) is unique,
+/// so a point probe on row i's src side matches exactly row i.
+std::vector<Row> UniqueSrcXferRows(size_t n) {
+  std::vector<Row> rows;
+  rows.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    rows.push_back(XferRow(IdPair{1, 0}, {static_cast<int32_t>(i)},
+                           IdPair{2, 1}, {static_cast<int32_t>(i % 7)},
+                           static_cast<int64_t>(i)));
+  }
+  return rows;
+}
+
+Segment::ViewProbe SrcPointProbe(const Row& row) {
+  Segment::ViewProbe p;
+  p.pair = row[1].AsIdPair().Packed();
+  p.has_lo = p.has_hi = true;
+  p.lo = row[2].AsIndexPath();
+  p.hi = p.lo;
+  return p;
+}
+
+TEST(SegmentTest, PointProbeMaterializesOnlyEmittedRows) {
+  // A point probe into a full 512-row block decodes that block once and
+  // builds a Row for the one ordinal it emits, not for the block. The
+  // same ordinal emitted again on the same scratch reuses that Row.
+  std::vector<Row> rows = UniqueSrcXferRows(2 * Segment::kRowsPerBlock);
+  auto seg = Segment::Build(Segment::Kind::kXfer, kRun, rows);
+  ASSERT_TRUE(seg.ok()) << seg.status().ToString();
+  Segment::Scratch scratch;
+  Segment::ProbeCounts counts;
+  std::vector<std::pair<uint64_t, const Row*>> emitted;
+  auto probe = [&](size_t i) {
+    Status st = seg->ProbeView(Segment::kViewOut, SrcPointProbe(rows[i]),
+                               &scratch, &counts,
+                               [&](uint64_t ordinal, const Row& row) {
+                                 emitted.emplace_back(ordinal, &row);
+                               });
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  };
+  probe(300);
+  ASSERT_EQ(emitted.size(), 1u);
+  EXPECT_EQ(emitted[0].first, 300u);
+  EXPECT_EQ(*emitted[0].second, rows[300]);
+  EXPECT_EQ(counts.blocks_decoded, 1u);
+  EXPECT_EQ(counts.rows_materialized, 1u);
+
+  probe(300);
+  ASSERT_EQ(emitted.size(), 2u);
+  EXPECT_EQ(emitted[1].second, emitted[0].second);
+  EXPECT_EQ(counts.blocks_decoded, 1u);
+  EXPECT_EQ(counts.rows_materialized, 1u);
+
+  probe(301);  // same block: no second decode
+  ASSERT_EQ(emitted.size(), 3u);
+  EXPECT_EQ(*emitted[2].second, rows[301]);
+  EXPECT_EQ(counts.blocks_decoded, 1u);
+  EXPECT_EQ(counts.rows_materialized, 2u);
+}
+
+TEST(SegmentTest, EarlierRowsSurviveLaterBlockDecodes) {
+  // Row& emitted by earlier probes on one scratch are unchanged after
+  // later probes decode other blocks (and revisit the first one).
+  std::vector<Row> rows = UniqueSrcXferRows(3 * Segment::kRowsPerBlock + 40);
+  auto seg = Segment::Build(Segment::Kind::kXfer, kRun, rows);
+  ASSERT_TRUE(seg.ok()) << seg.status().ToString();
+  Segment::Scratch scratch;
+  Segment::ProbeCounts counts;
+  std::vector<std::pair<const Row*, Row>> pinned;
+  const size_t targets[] = {5, 511, 512, 1100, 1536, 1570, 7, 1023};
+  for (size_t i : targets) {
+    Status st = seg->ProbeView(Segment::kViewOut, SrcPointProbe(rows[i]),
+                               &scratch, &counts,
+                               [&](uint64_t, const Row& row) {
+                                 pinned.emplace_back(&row, row);
+                               });
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+  ASSERT_EQ(pinned.size(), std::size(targets));
+  EXPECT_EQ(counts.blocks_decoded, 4u);
+  EXPECT_EQ(counts.rows_materialized, std::size(targets));
+  for (size_t k = 0; k < pinned.size(); ++k) {
+    EXPECT_EQ(*pinned[k].first, pinned[k].second) << "probe " << k;
+    EXPECT_EQ(pinned[k].second, rows[targets[k]]) << "probe " << k;
+  }
+}
+
+TEST(SegmentTest, NullSidesStraddlingBlockBoundaryDecodePerOrdinal) {
+  // Xform rows around the 511/512 block boundary alternate a null
+  // in-side and a null out-side, so each block's presence slots start
+  // mid-pattern. Every (ordinal, row) a probe emits must equal the full
+  // decode's row at that ordinal.
+  std::vector<Row> rows;
+  const size_t n = 2 * Segment::kRowsPerBlock + 30;
+  for (size_t i = 0; i < n; ++i) {
+    const bool near_edge = i >= 500 && i < 530;
+    const bool has_in = !near_edge || i % 2 == 0;
+    const bool has_out = !near_edge || i % 2 == 1 || i % 5 == 0;
+    const auto e = static_cast<int32_t>(i);
+    rows.push_back(XformRow(static_cast<int64_t>(i), has_in,
+                            IdPair{static_cast<uint32_t>(i % 3), 0}, {e % 11},
+                            100 + e, has_out,
+                            IdPair{static_cast<uint32_t>(i % 3), 1},
+                            {e % 13, e % 2}, 200 + e));
+  }
+  auto seg = Segment::Build(Segment::Kind::kXform, kRun, rows);
+  ASSERT_TRUE(seg.ok()) << seg.status().ToString();
+  auto all = seg->DecodeAllRows();
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_EQ(*all, rows);
+
+  size_t checked = 0;
+  for (size_t view : {Segment::kViewOut, Segment::kViewIn}) {
+    Segment::Scratch scratch;
+    for (uint32_t proc = 0; proc < 3; ++proc) {
+      Segment::ViewProbe probe;  // whole pair: every entry of the view
+      probe.pair = IdPair{proc, view == Segment::kViewOut ? 1u : 0u}.Packed();
+      Segment::ProbeCounts counts;
+      Status st = seg->ProbeView(view, probe, &scratch, &counts,
+                                 [&](uint64_t ordinal, const Row& row) {
+                                   ASSERT_LT(ordinal, all->size());
+                                   EXPECT_EQ(row, (*all)[ordinal])
+                                       << "view " << view << " ordinal "
+                                       << ordinal;
+                                   ++checked;
+                                 });
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
+  }
+  EXPECT_EQ(checked, seg->view_entries(Segment::kViewOut) +
+                         seg->view_entries(Segment::kViewIn));
 }
 
 TEST(SegmentTest, RejectsTruncationAtEveryLength) {
