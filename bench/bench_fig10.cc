@@ -46,46 +46,22 @@ int main() {
     return interest;
   };
 
-  // Same plans, two execution modes: the default batched engine submits
-  // a plan's |P|-many probes as one sorted batch; the single-probe
-  // engine is the pre-batching baseline (one descent per probe).
-  auto single_engine =
-      CheckResult(lineage::IndexProjLineage::Create(
-                      wb->flow(), wb->store(),
-                      lineage::ProbeExecution::kSingleProbe),
-                  "single-probe engine");
-
-  bench::TablePrinter table({"|P|", "pct_of_nodes", "best_ms", "single_ms",
-                             "probes", "descents", "single_desc", "bindings",
-                             "trace_queries"});
+  bench::TablePrinter table({"|P|", "pct_of_nodes", "best_ms", "probes",
+                             "descents", "bindings", "trace_queries"});
   bench::JsonWriter json("fig10");
-  uint64_t desc_single_76 = 0, desc_batched_76 = 0;
   const int sizes[] = {1, 4, 8, 16, 24, 32, 48, 64, 76};
   for (int size : sizes) {
     lineage::InterestSet interest = interest_of(size);
     lineage::LineageAnswer answer;
-    lineage::LineageAnswer single_answer;
-    // Interleaved A/B: machine drift between two sequential best-of-five
-    // blocks exceeds the batched/single delta on small in-memory trees.
-    auto [best, single_best] = CheckResult(
-        bench::BestOfFiveInterleaved(
-            [&]() -> Status {
-              auto a = wb->IndexProj()->Query(lineage::LineageRequest::SingleRun("r0", target, q, interest));
-              PROVLIN_RETURN_IF_ERROR(a.status());
-              answer = std::move(a).value();
-              return Status::OK();
-            },
-            [&]() -> Status {
-              auto a = single_engine.Query(lineage::LineageRequest::SingleRun("r0", target, q, interest));
-              PROVLIN_RETURN_IF_ERROR(a.status());
-              single_answer = std::move(a).value();
-              return Status::OK();
-            }),
+    double best = CheckResult(
+        bench::BestOfFive([&]() -> Status {
+          auto a = wb->IndexProj()->Query(
+              lineage::LineageRequest::SingleRun("r0", target, q, interest));
+          PROVLIN_RETURN_IF_ERROR(a.status());
+          answer = std::move(a).value();
+          return Status::OK();
+        }),
         "query");
-    if (single_answer.bindings != answer.bindings) {
-      std::fprintf(stderr, "FATAL: modes disagree at |P|=%d\n", size);
-      return 1;
-    }
     auto plan = CheckResult(wb->IndexProj()->Plan(target, q, interest),
                             "plan");
     char pct[16];
@@ -93,33 +69,14 @@ int main() {
                   100.0 * static_cast<double>(interest.size()) /
                       testbed::SyntheticNodeCount(kL));
     table.AddRow({std::to_string(interest.size()), pct, bench::Ms(best),
-                  bench::Ms(single_best),
                   bench::Num(answer.timing.trace_probes),
                   bench::Num(answer.timing.trace_descents),
-                  bench::Num(single_answer.timing.trace_descents),
                   bench::Num(answer.bindings.size()),
                   bench::Num(plan->queries.size())});
-    std::string cfg = "P" + std::to_string(interest.size());
-    json.Add(cfg + "_batched", best, answer.timing.trace_probes,
-             answer.timing.trace_descents);
-    json.Add(cfg + "_single", single_best,
-             single_answer.timing.trace_probes,
-             single_answer.timing.trace_descents);
-    if (size == 76) {
-      desc_single_76 = single_answer.timing.trace_descents;
-      desc_batched_76 = answer.timing.trace_descents;
-    }
+    json.Add("P" + std::to_string(interest.size()) + "_batched", best,
+             answer.timing.trace_probes, answer.timing.trace_descents);
   }
   table.Print();
-  if (desc_batched_76 > 0) {
-    std::printf(
-        "\n|P|=76 descent amortization: %llu single-probe vs %llu batched "
-        "(%.2fx fewer)\n",
-        static_cast<unsigned long long>(desc_single_76),
-        static_cast<unsigned long long>(desc_batched_76),
-        static_cast<double>(desc_single_76) /
-            static_cast<double>(desc_batched_76));
-  }
 
   // NI reference point for the same focused query.
   lineage::NaiveLineage naive = wb->Naive();

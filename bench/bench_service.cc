@@ -15,8 +15,6 @@
 #include "bench/bench_util.h"
 #include "common/tracing.h"
 #include "lineage/engine.h"
-#include "lineage/index_proj_lineage.h"
-#include "lineage/naive_lineage.h"
 #include "lineage/service.h"
 #include "testbed/synthetic.h"
 #include "testbed/workbench.h"
@@ -128,84 +126,39 @@ int main() {
   table.Print();
 
   // Descent amortization on the 256-request batch, measured
-  // single-threaded so the counters are deterministic: the pre-batching
-  // baseline (single-probe engines, no probe memo) against the default
-  // configuration (frontier/plan-batched probes + shared probe memo).
+  // single-threaded so the counters are deterministic: frontier/plan-
+  // batched probes plus the shared probe memo.
   std::printf(
       "\nDescent amortization (single-threaded, batch=%d requests):\n\n",
       kBatch);
-  lineage::NaiveLineage naive_single(
-      wb->store(), lineage::ProbeExecution::kSingleProbe);
-  auto ip_single = CheckResult(
-      lineage::IndexProjLineage::Create(
-          wb->flow(), wb->store(), lineage::ProbeExecution::kSingleProbe),
-      "single-probe engine");
-  bench::TablePrinter amort({"engine", "mode", "best_ms", "probes",
-                             "descents", "memo_hits", "amortization"});
+  bench::TablePrinter amort(
+      {"engine", "best_ms", "probes", "descents", "memo_hits"});
   for (const char* name : {"naive", "indexproj"}) {
-    const lineage::LineageEngine* batched = wb->Engine(name);
-    const lineage::LineageEngine* single =
-        std::string(name) == "naive"
-            ? static_cast<const lineage::LineageEngine*>(&naive_single)
-            : static_cast<const lineage::LineageEngine*>(&ip_single);
-    // One service per mode, measured interleaved: the modes differ by
-    // less than the machine drifts between two sequential blocks.
-    lineage::ServiceOptions single_opts;
-    single_opts.num_threads = 1;
-    single_opts.group_same_plan = false;
-    single_opts.dedupe_probes = false;
-    lineage::LineageService single_service(single_opts);
-    std::vector<lineage::ServiceRequest> single_batch = make_batch(single);
-
-    lineage::ServiceOptions batched_opts = single_opts;
-    batched_opts.dedupe_probes = true;  // memo is part of the new mode
-    lineage::LineageService batched_service(batched_opts);
-    std::vector<lineage::ServiceRequest> batched_batch = make_batch(batched);
-
-    auto run_on = [](lineage::LineageService* service,
-                     const std::vector<lineage::ServiceRequest>& batch)
-        -> Status {
+    lineage::ServiceOptions options;
+    options.num_threads = 1;
+    options.group_same_plan = false;
+    lineage::LineageService service(options);
+    std::vector<lineage::ServiceRequest> batch = make_batch(wb->Engine(name));
+    auto run_batch = [&]() -> Status {
       std::vector<lineage::ServiceResponse> responses =
-          service->ExecuteBatch(batch);
+          service.ExecuteBatch(batch);
       for (const lineage::ServiceResponse& resp : responses) {
         PROVLIN_RETURN_IF_ERROR(resp.status);
       }
       return Status::OK();
     };
-    bench::CheckOk(run_on(&single_service, single_batch), "warm single");
-    bench::CheckOk(run_on(&batched_service, batched_batch), "warm batched");
-    auto [batched_best, single_best] = CheckResult(
-        bench::BestOfFiveInterleaved(
-            [&]() { return run_on(&batched_service, batched_batch); },
-            [&]() { return run_on(&single_service, single_batch); },
-            /*calls_per_round=*/2),
-        "amortization batch");
-
-    uint64_t single_descents = 0;
-    for (bool use_batched : {false, true}) {
-      lineage::ServiceMetrics m = use_batched ? batched_service.metrics()
-                                              : single_service.metrics();
-      uint64_t batches = m.batches ? m.batches : 1;
-      uint64_t probes = m.trace_probes / batches;
-      uint64_t descents = m.trace_descents / batches;
-      uint64_t hits = m.probe_memo_hits / batches;
-      if (!use_batched) single_descents = descents;
-      char ratio[32];
-      if (use_batched && descents > 0) {
-        std::snprintf(ratio, sizeof(ratio), "%.2fx fewer",
-                      static_cast<double>(single_descents) /
-                          static_cast<double>(descents));
-      } else {
-        std::snprintf(ratio, sizeof(ratio), "baseline");
-      }
-      double best = use_batched ? batched_best : single_best;
-      amort.AddRow({name, use_batched ? "batched" : "single-probe",
-                    bench::Ms(best), bench::Num(probes), bench::Num(descents),
-                    bench::Num(hits), ratio});
-      json.Add(std::string("batch256_") + name +
-                   (use_batched ? "_batched" : "_single"),
-               best, probes, descents);
-    }
+    bench::CheckOk(run_batch(), "warm amortization batch");
+    double best = CheckResult(bench::BestOfFive(run_batch),
+                              "amortization batch");
+    lineage::ServiceMetrics m = service.metrics();
+    uint64_t batches = m.batches ? m.batches : 1;
+    uint64_t probes = m.trace_probes / batches;
+    uint64_t descents = m.trace_descents / batches;
+    amort.AddRow({name, bench::Ms(best), bench::Num(probes),
+                  bench::Num(descents),
+                  bench::Num(m.probe_memo_hits / batches)});
+    json.Add(std::string("batch256_") + name + "_batched", best, probes,
+             descents);
   }
   amort.Print();
 

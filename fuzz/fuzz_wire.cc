@@ -25,12 +25,10 @@ using provlin::lineage::wire::DecodeRequestEnvelope;
 using provlin::lineage::wire::DecodeResponseEnvelope;
 using provlin::lineage::wire::DecodeStatsRequest;
 using provlin::lineage::wire::DecodeStatsResponse;
-using provlin::lineage::wire::EncodeAnswerResponse;
 using provlin::lineage::wire::EncodeAnswerResponseV2;
 using provlin::lineage::wire::EncodeRequestEnvelope;
 using provlin::lineage::wire::EncodeStatsRequest;
 using provlin::lineage::wire::EncodeStatsResponse;
-using provlin::lineage::wire::kWireVersionLegacy;
 
 namespace {
 
@@ -59,19 +57,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     std::string reencoded = EncodeRequestEnvelope(*req);
     if (reencoded != payload) Fail("EncodeRequestEnvelope(decode(x)) != x", payload);
   }
-  if (auto resp = DecodeResponseEnvelope(payload); resp.ok()) {
-    if (resp->ok && !resp->has_timeline &&
-        resp->version == kWireVersionLegacy) {
-      std::string reencoded =
-          EncodeAnswerResponse(resp->request_id, resp->answer);
-      if (reencoded != payload) Fail("EncodeAnswerResponse(decode(x)) != x", payload);
-    } else if (resp->ok && resp->version != kWireVersionLegacy) {
-      std::string reencoded = EncodeAnswerResponseV2(
-          resp->request_id, resp->answer,
-          resp->has_timeline ? &resp->timeline : nullptr);
-      if (reencoded != payload) {
-        Fail("EncodeAnswerResponseV2(decode(x)) != x", payload);
-      }
+  if (auto resp = DecodeResponseEnvelope(payload); resp.ok() && resp->ok) {
+    std::string reencoded = EncodeAnswerResponseV2(
+        resp->request_id, resp->answer,
+        resp->has_timeline ? &resp->timeline : nullptr);
+    if (reencoded != payload) {
+      Fail("EncodeAnswerResponseV2(decode(x)) != x", payload);
     }
   }
   if (auto stats_req = DecodeStatsRequest(payload); stats_req.ok()) {

@@ -59,7 +59,6 @@ std::vector<std::string> WireSeeds() {
   v2_envelope.request_id = 45;
   v2_envelope.engine = "naive";
   v2_envelope.request = MakeRequest();
-  v2_envelope.version = kWireVersion;
   v2_envelope.want_timeline = true;
 
   RequestTimeline timeline;
@@ -78,7 +77,7 @@ std::vector<std::string> WireSeeds() {
   return {
       EncodeRequestEnvelope({42, "indexproj", MakeRequest()}),
       EncodeRequestEnvelope({}),
-      EncodeAnswerResponse(43, MakeAnswer()),
+      EncodeAnswerResponseV2(43, MakeAnswer(), nullptr),
       EncodeErrorResponse(44, ErrorCode::kOverloaded, "queue full"),
       EncodeRequestEnvelope(v2_envelope),
       EncodeAnswerResponseV2(45, MakeAnswer(), &timeline),

@@ -601,13 +601,14 @@ Status CmdExplain(const Args& args, std::ostream& out) {
   request.target = target;
   request.index = index;
   request.interest = interest;
-  PROVLIN_ASSIGN_OR_RETURN(lineage::ExplainResult result,
-                           engine.Explain(request));
+  lineage::ExplainResult explained;
+  PROVLIN_ASSIGN_OR_RETURN(lineage::LineageAnswer answer,
+                           engine.Explain(request, &explained));
   trace_scope.Finish();
-  out << result.ToString(store);
-  out << "(" << result.answer.bindings.size() << " bindings, "
-      << result.answer.timing.trace_probes << " trace probes, "
-      << result.answer.timing.trace_descents << " descents)\n";
+  out << explained.ToString();
+  out << "(" << answer.bindings.size() << " bindings, "
+      << answer.timing.trace_probes << " trace probes, "
+      << answer.timing.trace_descents << " descents)\n";
   return Status::OK();
 }
 
@@ -801,17 +802,6 @@ Status CmdServe(const Args& args, std::ostream& out) {
   pthread_sigmask(SIG_BLOCK, &mask, nullptr);
 
   server::LineageServer server(std::move(engines), options);
-  // Slow-request records carry the same EXPLAIN step costs the CLI's
-  // `explain` command prints (re-measured for the offending request).
-  // `index_proj` and `store` are stack locals declared above the server
-  // and so outlive it.
-  server.SetExplainer(
-      "indexproj",
-      [&index_proj, &store](const lineage::LineageRequest& request) {
-        Result<lineage::ExplainResult> explained = index_proj.Explain(request);
-        if (!explained.ok()) return std::string();
-        return explained->ToJson(store);
-      });
   PROVLIN_RETURN_IF_ERROR(server.Start());
   out << "serving lineage on 127.0.0.1:" << server.port() << " ("
       << options.service.num_threads << " workers, queue "

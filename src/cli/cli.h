@@ -37,15 +37,16 @@ namespace provlin::cli {
 ///            [--index 1,2] [--focus P]* [--shards N]
 ///            [--trace-out FILE.json]
 ///            EXPLAIN an IndexProj query: print the generated trace
-///            queries with measured per-step costs (probes, descents,
-///            rows, bindings, wall time) from a single-probe execution.
+///            queries with the probes, rows and bindings each step cost
+///            the batched execution that answered it, and the descents
+///            and s2 time the batch shared across all steps.
 ///   serve    --workflow W --db FILE [--port N] [--port-file FILE]
 ///            [--threads N] [--shards N] [--async-ingest true]
 ///            [--max-queue N] [--max-batch N] [--max-connections N]
 ///            [--slow-request-ms N] [--slow-log FILE]
 ///            [--slow-log-max-bytes N] [--trace true] [--stats true]
 ///            Serve lineage queries over loopback TCP (DESIGN.md §12):
-///            length-prefixed wire-protocol frames carrying versioned
+///            length-prefixed wire-protocol frames carrying
 ///            LineageRequest envelopes, answered by both engines
 ///            ("naive", "indexproj" — the request names one) through a
 ///            shared concurrent LineageService. --port 0 (default)
@@ -53,10 +54,11 @@ namespace provlin::cli {
 ///            port once the server is accepting. A full request queue
 ///            sheds load with typed OVERLOADED responses.
 ///            --slow-request-ms N appends a structured JSON-lines record
-///            (phase timeline, shard fan-out, probe counts, EXPLAIN
-///            payload — DESIGN.md §14) for every served request at or
-///            over N ms to --slow-log (default slow_requests.jsonl,
-///            rotated at --slow-log-max-bytes); N=0 logs everything.
+///            (phase timeline, shard fan-out, probe counts, and the
+///            EXPLAIN the request's own execution recorded — DESIGN.md
+///            §14) for every served request at or over N ms to
+///            --slow-log (default slow_requests.jsonl, rotated at
+///            --slow-log-max-bytes); N=0 logs everything.
 ///            --trace true keeps the tracer ring live so remote scrapes
 ///            can pull it. Stop with SIGINT/SIGTERM; a served-traffic
 ///            summary (and with --stats true the metrics exposition)

@@ -62,7 +62,7 @@ enum class LockRank : uint32_t {
   kDataflowPorts = 450,
 
   // --- Trace store (DESIGN.md §11: within a shard, ingest_mu <
-  //     data_mu < wal_mu; cross-shard locks are never held together). ---
+  //     data_mu; cross-shard locks are never held together). ---
   /// TraceStore::Rep::run_mu — global run sequence numbers.
   kStoreRunSeq = 500,
   /// TraceStore::Shard::ingest_mu — bounded ingest queue, watermarks,
@@ -70,9 +70,6 @@ enum class LockRank : uint32_t {
   kShardIngest = 510,
   /// TraceStore::Shard::data_mu — tables, owned WAL, sealed segments.
   kShardData = 520,
-  /// TraceStore::Rep::wal_mu — externally-attached shared WAL; nests
-  /// inside the owning shard's data_mu on the apply path.
-  kStoreSharedWal = 530,
   /// Batch fan-out completion latch (FanLatch::mu in trace_store.cc).
   kStoreFanLatch = 540,
   /// ProbeMemo::mu_ — per-batch probe dedup maps. Consulted and filled
@@ -140,8 +137,6 @@ constexpr const char* LockRankName(LockRank rank) {
       return "trace_store.shard.ingest_mu";
     case LockRank::kShardData:
       return "trace_store.shard.data_mu";
-    case LockRank::kStoreSharedWal:
-      return "trace_store.wal_mu";
     case LockRank::kStoreFanLatch:
       return "trace_store.fan_latch_mu";
     case LockRank::kProbeMemo:

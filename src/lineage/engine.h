@@ -55,13 +55,6 @@ struct LineageRequest {
   }
 };
 
-/// How an engine issues its trace-database probes. kSingleProbe is the
-/// seed behaviour: every probe is an independent B+-tree descent.
-/// kBatched collects each traversal level (NI) or plan (IndexProj) into
-/// sorted probe batches answered in one amortized index pass — same
-/// logical probes and byte-identical answers, fewer physical descents.
-enum class ProbeExecution { kSingleProbe, kBatched };
-
 /// Abstract lineage engine: anything that can answer lin(⟨target[q]⟩, 𝒫)
 /// over a recorded trace. The two paper algorithms (NaiveLineage = NI,
 /// IndexProjLineage = Alg. 2) implement it, and the CLI, examples,
@@ -80,7 +73,6 @@ class LineageEngine {
 
   /// Answers one request across all runs in its scope.
   virtual Result<LineageAnswer> Query(const LineageRequest& request) const = 0;
-
 };
 
 }  // namespace provlin::lineage

@@ -196,11 +196,11 @@ Result<LineageAnswer> NaiveForwardLineage::Query(
 
 Result<ForwardIndexProjLineage> ForwardIndexProjLineage::Create(
     std::shared_ptr<const Dataflow> dataflow,
-    const provenance::TraceStore* store, ProbeExecution mode) {
+    const provenance::TraceStore* store) {
   PROVLIN_ASSIGN_OR_RETURN(workflow::DepthMap depths,
                            workflow::PropagateDepths(*dataflow));
   return ForwardIndexProjLineage(std::move(dataflow), std::move(depths),
-                                 store, mode);
+                                 store);
 }
 
 namespace {
@@ -429,7 +429,7 @@ Status AppendForwardProducedBindings(const provenance::TraceStore& store,
 
 }  // namespace
 
-Status ForwardIndexProjLineage::ExecutePlanBatched(
+Status ForwardIndexProjLineage::ExecutePlan(
     const ForwardPlan& plan, const std::string& run,
     std::vector<LineageBinding>* bindings) const {
   auto run_sym = store_->LookupSymbol(run);
@@ -464,34 +464,6 @@ Status ForwardIndexProjLineage::ExecutePlanBatched(
       PROVLIN_RETURN_IF_ERROR(AppendForwardProducedBindings(
           *store_, run, q, prod_rows[slot[i]], bindings));
     }
-  }
-  return Status::OK();
-}
-
-Status ForwardIndexProjLineage::ExecutePlan(
-    const ForwardPlan& plan, const std::string& run,
-    std::vector<LineageBinding>* bindings) const {
-  if (mode_ == ProbeExecution::kBatched) {
-    return ExecutePlanBatched(plan, run, bindings);
-  }
-  auto run_sym = store_->LookupSymbol(run);
-  if (!run_sym.has_value()) return Status::OK();
-  for (const ForwardTraceQuery& q : plan.queries) {
-    if (q.workflow_output) {
-      PROVLIN_ASSIGN_OR_RETURN(
-          std::vector<XferRecord> rows,
-          store_->FindXfersInto(*run_sym, q.processor, q.port,
-                                q.pattern.KnownPrefix()));
-      PROVLIN_RETURN_IF_ERROR(
-          AppendForwardOutputBindings(*store_, run, q, rows, bindings));
-      continue;
-    }
-    PROVLIN_ASSIGN_OR_RETURN(
-        std::vector<XformRecord> rows,
-        store_->FindProducing(*run_sym, q.processor, q.port,
-                              q.pattern.KnownPrefix()));
-    PROVLIN_RETURN_IF_ERROR(
-        AppendForwardProducedBindings(*store_, run, q, rows, bindings));
   }
   return Status::OK();
 }

@@ -72,13 +72,11 @@ struct ForwardPlan {
 /// the backward engine's.
 class ForwardIndexProjLineage {
  public:
-  /// kBatched (default) executes a plan's trace queries as one
-  /// xfers-into batch plus one producing batch per run; kSingleProbe
-  /// keeps one independent descent per query. Answers are identical.
+  /// A plan's trace queries execute as one xfers-into batch plus one
+  /// producing batch per run.
   static Result<ForwardIndexProjLineage> Create(
       std::shared_ptr<const workflow::Dataflow> dataflow,
-      const provenance::TraceStore* store,
-      ProbeExecution mode = ProbeExecution::kBatched);
+      const provenance::TraceStore* store);
 
   Result<const ForwardPlan*> Plan(const workflow::PortRef& target,
                                   const Index& p, const InterestSet& interest);
@@ -97,20 +95,16 @@ class ForwardIndexProjLineage {
  private:
   ForwardIndexProjLineage(std::shared_ptr<const workflow::Dataflow> dataflow,
                           workflow::DepthMap depths,
-                          const provenance::TraceStore* store,
-                          ProbeExecution mode)
+                          const provenance::TraceStore* store)
       : dataflow_(std::move(dataflow)),
         depths_(std::move(depths)),
-        store_(store),
-        mode_(mode) {}
+        store_(store) {}
 
   Result<ForwardPlan> BuildPlan(const workflow::PortRef& target,
                                 const Index& p,
                                 const InterestSet& interest) const;
   Status ExecutePlan(const ForwardPlan& plan, const std::string& run,
                      std::vector<LineageBinding>* bindings) const;
-  Status ExecutePlanBatched(const ForwardPlan& plan, const std::string& run,
-                            std::vector<LineageBinding>* bindings) const;
 
   /// Same integer-tuple cache key shape as the backward engine.
   using PlanKey =
@@ -122,7 +116,6 @@ class ForwardIndexProjLineage {
   std::shared_ptr<const workflow::Dataflow> dataflow_;
   workflow::DepthMap depths_;
   const provenance::TraceStore* store_;
-  ProbeExecution mode_ = ProbeExecution::kBatched;
   std::map<PlanKey, ForwardPlan> plan_cache_;
 };
 

@@ -24,10 +24,10 @@ using workflow::Processor;
 
 Result<IndexProjLineage> IndexProjLineage::Create(
     std::shared_ptr<const Dataflow> dataflow,
-    const provenance::TraceStore* store, ProbeExecution mode) {
+    const provenance::TraceStore* store) {
   PROVLIN_ASSIGN_OR_RETURN(workflow::DepthMap depths,
                            workflow::PropagateDepths(*dataflow));
-  return IndexProjLineage(std::move(dataflow), std::move(depths), store, mode);
+  return IndexProjLineage(std::move(dataflow), std::move(depths), store);
 }
 
 namespace {
@@ -317,9 +317,10 @@ Status AppendSourceViaConsumer(const provenance::TraceStore& store,
 
 }  // namespace
 
-Status IndexProjLineage::ExecutePlanBatched(
-    const LineagePlan& plan, const std::vector<std::string>& runs,
-    std::vector<LineageBinding>* bindings) const {
+Status IndexProjLineage::ExecutePlan(const LineagePlan& plan,
+                                     const std::vector<std::string>& runs,
+                                     std::vector<LineageBinding>* bindings,
+                                     ExplainResult* explain) const {
   PROVLIN_TRACE_SPAN_VAR(span, "indexproj/s2_run");
   if (span.active()) {
     span.SetArgs("runs=" + std::to_string(runs.size()) +
@@ -334,7 +335,6 @@ Status IndexProjLineage::ExecutePlanBatched(
   constexpr size_t kNone = static_cast<size_t>(-1);
   struct RunSlots {
     const std::string* run = nullptr;
-    SymbolId run_sym = kNoSymbol;
     std::vector<size_t> producing_slot;
     std::vector<size_t> consuming_slot;
   };
@@ -347,7 +347,6 @@ Status IndexProjLineage::ExecutePlanBatched(
     if (!run_sym.has_value()) continue;
     RunSlots slots;
     slots.run = &run;
-    slots.run_sym = *run_sym;
     slots.producing_slot.assign(plan.queries.size(), kNone);
     slots.consuming_slot.assign(plan.queries.size(), kNone);
     for (size_t i = 0; i < plan.queries.size(); ++i) {
@@ -376,70 +375,45 @@ Status IndexProjLineage::ExecutePlanBatched(
     PROVLIN_ASSIGN_OR_RETURN(consumed, store_->FindConsumingBatch(consuming));
   }
 
-  // Assembly walks runs then queries in plan order, exactly like the
-  // per-run single-probe loop — only the probe physics changed above.
+  // Assembly walks runs then queries in plan order. Here each query's
+  // rows are still told apart, so an EXPLAIN recorder is credited with
+  // the probes, rows and bindings of every step: its share of the two
+  // batches, plus the value lookups its own bindings cost.
+  static const std::vector<XformRecord> kNoRows;
   for (const RunSlots& slots : per_run) {
     const std::string& run = *slots.run;
     for (size_t i = 0; i < plan.queries.size(); ++i) {
       const TraceQuery& q = plan.queries[i];
-      if (q.workflow_source) {
-        const std::vector<XformRecord>& src_rows =
-            produced[slots.producing_slot[i]];
-        if (q.via_processor == kNoSymbol) {
-          PROVLIN_RETURN_IF_ERROR(
-              AppendSourceBindings(*store_, run, src_rows, q.index, bindings));
-          continue;
-        }
+      const size_t p = slots.producing_slot[i];
+      const size_t c = slots.consuming_slot[i];
+      const std::vector<XformRecord>& src_rows =
+          p == kNone ? kNoRows : produced[p];
+      const std::vector<XformRecord>& consumed_rows =
+          c == kNone ? kNoRows : consumed[c];
+      const size_t bindings_before = bindings->size();
+      const uint64_t probes_before =
+          explain != nullptr ? storage::ThisThreadStats().probes() : 0;
+      if (!q.workflow_source) {
+        PROVLIN_RETURN_IF_ERROR(
+            AppendConsumedBindings(*store_, run, consumed_rows, bindings));
+      } else if (q.via_processor == kNoSymbol) {
+        // Direct query on the workflow input port itself.
+        PROVLIN_RETURN_IF_ERROR(
+            AppendSourceBindings(*store_, run, src_rows, q.index, bindings));
+      } else {
         PROVLIN_RETURN_IF_ERROR(AppendSourceViaConsumer(
-            *store_, run, src_rows, consumed[slots.consuming_slot[i]],
-            bindings));
-        continue;
+            *store_, run, src_rows, consumed_rows, bindings));
       }
-      PROVLIN_RETURN_IF_ERROR(AppendConsumedBindings(
-          *store_, run, consumed[slots.consuming_slot[i]], bindings));
+      if (explain != nullptr) {
+        ExplainStep& step = explain->steps[i];
+        const uint64_t issued = (p == kNone ? 0 : 1) + (c == kNone ? 0 : 1);
+        step.trace_probes += issued * provenance::OverlapProbeCount(q.index) +
+                             storage::ThisThreadStats().probes() -
+                             probes_before;
+        step.rows += src_rows.size() + consumed_rows.size();
+        step.bindings += bindings->size() - bindings_before;
+      }
     }
-  }
-  return Status::OK();
-}
-
-Status IndexProjLineage::ExecuteQuerySingle(
-    const TraceQuery& q, SymbolId run_sym, const std::string& run,
-    std::vector<LineageBinding>* bindings, uint64_t* rows) const {
-  if (q.workflow_source) {
-    PROVLIN_ASSIGN_OR_RETURN(
-        std::vector<XformRecord> src_rows,
-        store_->FindProducing(run_sym, q.processor, q.port, q.index));
-    if (rows != nullptr) *rows += src_rows.size();
-    if (q.via_processor == kNoSymbol) {
-      // Direct query on the workflow input port itself.
-      return AppendSourceBindings(*store_, run, src_rows, q.index, bindings);
-    }
-    PROVLIN_ASSIGN_OR_RETURN(
-        std::vector<XformRecord> consumed,
-        store_->FindConsuming(run_sym, q.via_processor, q.via_port, q.index));
-    if (rows != nullptr) *rows += consumed.size();
-    return AppendSourceViaConsumer(*store_, run, src_rows, consumed, bindings);
-  }
-  PROVLIN_ASSIGN_OR_RETURN(
-      std::vector<XformRecord> xform_rows,
-      store_->FindConsuming(run_sym, q.processor, q.port, q.index));
-  if (rows != nullptr) *rows += xform_rows.size();
-  return AppendConsumedBindings(*store_, run, xform_rows, bindings);
-}
-
-Status IndexProjLineage::ExecutePlan(
-    const LineagePlan& plan, const std::string& run,
-    std::vector<LineageBinding>* bindings) const {
-  if (mode_ == ProbeExecution::kBatched) {
-    return ExecutePlanBatched(plan, {run}, bindings);
-  }
-  // A run the trace never recorded has no rows for any query in the
-  // plan; resolving it once up front skips |queries| futile probes.
-  auto run_sym = store_->LookupSymbol(run);
-  if (!run_sym.has_value()) return Status::OK();
-  for (const TraceQuery& q : plan.queries) {
-    PROVLIN_RETURN_IF_ERROR(
-        ExecuteQuerySingle(q, *run_sym, run, bindings, nullptr));
   }
   return Status::OK();
 }
@@ -460,171 +434,43 @@ Result<LineageAnswer> IndexProjLineage::Query(
   answer.timing.t1_ms = t1.ElapsedMillis();
   answer.timing.graph_steps = plan->graph_steps;
 
-  // s2: execute the generated trace queries per run. Probe counts come
-  // from this thread's counters so concurrent queries don't pollute each
-  // other's cost attribution.
-  storage::ThreadStats before = storage::ThisThreadStats();
-  WallTimer t2;
-  if (mode_ == ProbeExecution::kBatched) {
-    // All runs in one batched execution: one producing + one consuming
-    // batch for the whole scope, fanned out across shards by the store.
-    PROVLIN_RETURN_IF_ERROR(
-        ExecutePlanBatched(*plan, request.runs, &answer.bindings));
-  } else {
-    for (const std::string& run : request.runs) {
-      PROVLIN_RETURN_IF_ERROR(ExecutePlan(*plan, run, &answer.bindings));
+  // EXPLAIN records this very execution: one step per plan query,
+  // credited by the s2 assembly.
+  ExplainResult* explain = nullptr;
+  if (std::optional<ExplainResult>* slot = ExplainScope::Active()) {
+    explain = &slot->emplace();
+    for (const TraceQuery& q : plan->queries) {
+      explain->steps.push_back({q.Kind(), q.ToString(*store_)});
     }
   }
+
+  // s2: all runs in one batched execution — one producing + one
+  // consuming batch for the whole scope, fanned out across shards by
+  // the store. Probe counts come from this thread's counters so
+  // concurrent queries don't pollute each other's cost attribution.
+  storage::ThreadStats before = storage::ThisThreadStats();
+  WallTimer t2;
+  PROVLIN_RETURN_IF_ERROR(
+      ExecutePlan(*plan, request.runs, &answer.bindings, explain));
   answer.timing.t2_ms = t2.ElapsedMillis();
   answer.timing.trace_probes =
       storage::ThisThreadStats().probes() - before.probes();
   answer.timing.trace_descents =
       storage::ThisThreadStats().descents - before.descents;
+  if (explain != nullptr) explain->plan = answer.timing;
 
   NormalizeBindings(&answer.bindings);
   PublishTiming(name(), answer.timing);
   return answer;
 }
 
-Result<ExplainResult> IndexProjLineage::Explain(
-    const LineageRequest& request) const {
-  PROVLIN_TRACE_SPAN("indexproj/explain");
-  ExplainResult out;
-
-  WallTimer t1;
-  bool cache_hit = false;
-  PROVLIN_ASSIGN_OR_RETURN(
-      std::shared_ptr<const LineagePlan> plan,
-      Plan(request.target, request.index, request.interest, &cache_hit));
-  out.plan_cache_hit = cache_hit;
-  out.plan_ms = t1.ElapsedMillis();
-  out.graph_steps = plan->graph_steps;
-
-  out.steps.resize(plan->queries.size());
-  for (size_t i = 0; i < plan->queries.size(); ++i) {
-    out.steps[i].query = plan->queries[i];
-  }
-  // Single-probe execution, one measured step per trace query; costs
-  // accumulate across the runs in scope so the plan keeps one row per
-  // generated query no matter how many runs it was applied to.
-  for (const std::string& run : request.runs) {
-    auto run_sym = store_->LookupSymbol(run);
-    if (!run_sym.has_value()) continue;
-    for (size_t i = 0; i < plan->queries.size(); ++i) {
-      ExplainStep& step = out.steps[i];
-      storage::ThreadStats before = storage::ThisThreadStats();
-      size_t bindings_before = out.answer.bindings.size();
-      WallTimer t;
-      PROVLIN_RETURN_IF_ERROR(ExecuteQuerySingle(
-          plan->queries[i], *run_sym, run, &out.answer.bindings, &step.rows));
-      step.ms += t.ElapsedMillis();
-      step.trace_probes +=
-          storage::ThisThreadStats().probes() - before.probes();
-      step.trace_descents +=
-          storage::ThisThreadStats().descents - before.descents;
-      step.bindings += out.answer.bindings.size() - bindings_before;
-    }
-  }
-
-  out.answer.timing.plan_cache_hit = cache_hit;
-  out.answer.timing.t1_ms = out.plan_ms;
-  out.answer.timing.graph_steps = out.graph_steps;
-  for (const ExplainStep& step : out.steps) {
-    out.answer.timing.t2_ms += step.ms;
-    out.answer.timing.trace_probes += step.trace_probes;
-    out.answer.timing.trace_descents += step.trace_descents;
-  }
-  NormalizeBindings(&out.answer.bindings);
-  PublishTiming(name(), out.answer.timing);
-  return out;
-}
-
-std::string ExplainResult::ToString(
-    const provenance::TraceStore& store) const {
-  char buf[160];
-  std::string out = "IndexProj plan: " + std::to_string(steps.size()) +
-                    " trace queries, " + std::to_string(graph_steps) +
-                    " graph steps, s1 ";
-  std::snprintf(buf, sizeof(buf), "%.3f ms (%s)\n", plan_ms,
-                plan_cache_hit ? "plan cache hit" : "plan built");
-  out += buf;
-  for (size_t i = 0; i < steps.size(); ++i) {
-    const ExplainStep& s = steps[i];
-    std::string kind =
-        s.query.workflow_source
-            ? (s.query.via_processor != common::kNoSymbol ? "source-via"
-                                                          : "source")
-            : "consume";
-    std::snprintf(buf, sizeof(buf),
-                  "  step %2zu  %-10s %-40s probes=%llu descents=%llu "
-                  "rows=%llu bindings=%llu %.3f ms\n",
-                  i, kind.c_str(), s.query.ToString(store).c_str(),
-                  static_cast<unsigned long long>(s.trace_probes),
-                  static_cast<unsigned long long>(s.trace_descents),
-                  static_cast<unsigned long long>(s.rows),
-                  static_cast<unsigned long long>(s.bindings), s.ms);
-    out += buf;
-  }
-  return out;
-}
-
-namespace {
-
-std::string JsonQuote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += "\"";
-  return out;
-}
-
-}  // namespace
-
-std::string ExplainResult::ToJson(const provenance::TraceStore& store) const {
-  std::string out = "{";
-  out += "\"plan_cache_hit\":" + std::string(plan_cache_hit ? "true" : "false");
-  out += ",\"plan_ms\":" + std::to_string(plan_ms);
-  out += ",\"graph_steps\":" + std::to_string(graph_steps);
-  out += ",\"steps\":[";
-  for (size_t i = 0; i < steps.size(); ++i) {
-    const ExplainStep& s = steps[i];
-    const char* kind =
-        s.query.workflow_source
-            ? (s.query.via_processor != common::kNoSymbol ? "source-via"
-                                                          : "source")
-            : "consume";
-    if (i > 0) out += ",";
-    out += "{\"kind\":\"" + std::string(kind) + "\"";
-    out += ",\"query\":" + JsonQuote(s.query.ToString(store));
-    out += ",\"trace_probes\":" + std::to_string(s.trace_probes);
-    out += ",\"trace_descents\":" + std::to_string(s.trace_descents);
-    out += ",\"rows\":" + std::to_string(s.rows);
-    out += ",\"bindings\":" + std::to_string(s.bindings);
-    out += ",\"ms\":" + std::to_string(s.ms);
-    out += "}";
-  }
-  out += "]}";
-  return out;
+Result<LineageAnswer> IndexProjLineage::Explain(const LineageRequest& request,
+                                                ExplainResult* explain) const {
+  std::optional<ExplainResult> record;
+  ExplainScope scope(&record);
+  PROVLIN_ASSIGN_OR_RETURN(LineageAnswer answer, Query(request));
+  *explain = std::move(*record);
+  return answer;
 }
 
 }  // namespace provlin::lineage

@@ -44,39 +44,12 @@ struct TraceQuery {
     return "Q(" + store.NameOf(processor) + ", " + store.NameOf(port) + ", " +
            index.ToString() + ")";
   }
-};
 
-/// Measured cost of one of a plan's trace queries, from an EXPLAIN run:
-/// the query itself plus the probes, B+-tree descents, trace rows, and
-/// answer bindings it accounted for, and its wall time. Costs aggregate
-/// across the runs in the request's scope.
-struct ExplainStep {
-  TraceQuery query;
-  uint64_t trace_probes = 0;
-  uint64_t trace_descents = 0;
-  uint64_t rows = 0;
-  uint64_t bindings = 0;
-  double ms = 0.0;
-};
-
-/// An EXPLAIN'd query: the plan (with provenance — cached or built, plan
-/// time, graph steps) and the per-trace-query measured costs, plus the
-/// ordinary answer so EXPLAIN never diverges from execution.
-struct ExplainResult {
-  bool plan_cache_hit = false;
-  double plan_ms = 0.0;
-  uint64_t graph_steps = 0;
-  std::vector<ExplainStep> steps;
-  LineageAnswer answer;
-
-  /// Human-readable plan: one line per trace query with measured costs.
-  std::string ToString(const provenance::TraceStore& store) const;
-
-  /// The same plan and measured step costs as one JSON object — the
-  /// slow-request log's EXPLAIN payload (DESIGN.md §14). Field-for-field
-  /// what ToString() prints, so the CLI's `explain` and a logged slow
-  /// request can be compared directly.
-  std::string ToJson(const provenance::TraceStore& store) const;
+  /// EXPLAIN step kind: "consume", "source", or "source-via".
+  const char* Kind() const {
+    if (!workflow_source) return "consume";
+    return via_processor != common::kNoSymbol ? "source-via" : "source";
+  }
 };
 
 /// The product of the s1 spec-graph traversal: the focused trace queries
@@ -103,15 +76,10 @@ struct LineagePlan {
 class IndexProjLineage : public LineageEngine {
  public:
   /// `dataflow` must be flattened + validated; `store` must outlive the
-  /// engine. Depth propagation (Alg. 1) runs once here. In the default
-  /// kBatched mode the plan's |𝒫|-many trace queries execute as sorted
-  /// probe batches (one producing batch + one consuming batch per run)
-  /// instead of |𝒫| independent descents; answers and logical probe
-  /// counts are identical to kSingleProbe.
+  /// engine. Depth propagation (Alg. 1) runs once here.
   static Result<IndexProjLineage> Create(
       std::shared_ptr<const workflow::Dataflow> dataflow,
-      const provenance::TraceStore* store,
-      ProbeExecution mode = ProbeExecution::kBatched);
+      const provenance::TraceStore* store);
 
   std::string_view name() const override { return "indexproj"; }
 
@@ -123,15 +91,15 @@ class IndexProjLineage : public LineageEngine {
       const workflow::PortRef& target, const Index& q,
       const InterestSet& interest, bool* cache_hit = nullptr) const;
 
-  /// Full query: s1 once (cached, shared) + s2 per run in scope (§3.4).
+  /// Full query: s1 once (cached, shared), then s2 for every run in
+  /// scope as one batched execution (§3.4). With an ExplainScope active
+  /// on the calling thread, the execution also records its EXPLAIN.
   Result<LineageAnswer> Query(const LineageRequest& request) const override;
 
-  /// EXPLAIN: answers `request` with the single-probe execution path,
-  /// measuring each generated trace query separately (probes, descents,
-  /// rows fetched, bindings contributed, wall time). Costs are the real
-  /// measured costs of this execution — slower than Query() because
-  /// per-step attribution forgoes batching.
-  Result<ExplainResult> Explain(const LineageRequest& request) const;
+  /// EXPLAIN: Query() with a step recorder attached. `*explain` receives
+  /// the record of the execution whose answer is returned.
+  Result<LineageAnswer> Explain(const LineageRequest& request,
+                                ExplainResult* explain) const;
 
   /// Wipes the plan cache (used by benches to measure cold planning).
   /// Safe under concurrent queries: in-flight plans stay alive through
@@ -184,39 +152,27 @@ class IndexProjLineage : public LineageEngine {
 
   IndexProjLineage(std::shared_ptr<const workflow::Dataflow> dataflow,
                    workflow::DepthMap depths,
-                   const provenance::TraceStore* store, ProbeExecution mode)
+                   const provenance::TraceStore* store)
       : dataflow_(std::move(dataflow)),
         depths_(std::move(depths)),
         store_(store),
-        mode_(mode),
         cache_(std::make_unique<PlanCache>()) {}
 
   Result<LineagePlan> BuildPlan(const workflow::PortRef& target,
                                 const Index& q,
                                 const InterestSet& interest) const;
 
-  /// Executes a plan's trace queries against one run (step s2),
-  /// dispatching on mode_.
-  Status ExecutePlan(const LineagePlan& plan, const std::string& run,
-                     std::vector<LineageBinding>* bindings) const;
-
-  /// Single-probe execution of one trace query against one resolved run:
-  /// the shared body of the kSingleProbe path and Explain(). `rows`,
-  /// when non-null, accumulates the trace rows the query fetched.
-  Status ExecuteQuerySingle(const TraceQuery& q, common::SymbolId run_sym,
-                            const std::string& run,
-                            std::vector<LineageBinding>* bindings,
-                            uint64_t* rows) const;
-
-  /// kBatched s2: every probe the plan will issue is known up front, so
-  /// the whole plan — across every run in scope — flattens into one
+  /// s2: every probe the plan will issue is known up front, so the
+  /// whole plan — across every run in scope — flattens into one
   /// producing batch plus one consuming batch before per-query assembly
-  /// (which walks runs then queries, in the per-run loop's order). The
-  /// run-qualified probes let a sharded store fan the batch out by
-  /// owning shard.
-  Status ExecutePlanBatched(const LineagePlan& plan,
-                            const std::vector<std::string>& runs,
-                            std::vector<LineageBinding>* bindings) const;
+  /// (which walks runs then queries). The run-qualified probes let a
+  /// sharded store fan the batch out by owning shard. `explain`, when
+  /// non-null, holds one step per plan query and is credited with each
+  /// step's probes, rows and bindings.
+  Status ExecutePlan(const LineagePlan& plan,
+                     const std::vector<std::string>& runs,
+                     std::vector<LineageBinding>* bindings,
+                     ExplainResult* explain) const;
 
   /// Plan cache key: (target processor, target port, index id, resolved
   /// interest ids) — a packed integer vector instead of a concatenated
@@ -228,7 +184,6 @@ class IndexProjLineage : public LineageEngine {
   std::shared_ptr<const workflow::Dataflow> dataflow_;
   workflow::DepthMap depths_;
   const provenance::TraceStore* store_;
-  ProbeExecution mode_;
   std::unique_ptr<PlanCache> cache_;
 };
 

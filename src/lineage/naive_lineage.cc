@@ -24,13 +24,13 @@ namespace {
 enum class Side { kOutput, kInput };
 
 /// ID-space traversal state: processors, ports, and runs are SymbolIds
-/// and indexes are dense IndexIds, so the visited set and the recursion
+/// and indexes are dense IndexIds, so the visited set and the frontier
 /// compare integers. Strings only reappear in the reported bindings.
 ///
 /// One Traversal may span several runs: the visited set and every
-/// frontier entry are run-qualified, and the batched driver sends each
-/// level's probes for *all* runs to the store as one run-qualified
-/// batch — which the sharded store splits by owning shard and fans out.
+/// frontier entry are run-qualified, and each level's probes for *all*
+/// runs go to the store as one run-qualified batch — which the sharded
+/// store splits by owning shard and fans out.
 class Traversal {
  public:
   Traversal(const provenance::TraceStore& store, const InterestSet& interest)
@@ -43,78 +43,23 @@ class Traversal {
               return store.LookupSymbol(name);
             })) {}
 
-  /// Registers a run and seeds the batched frontier with its target.
+  /// Registers a run and seeds the frontier with its target.
   void Seed(std::string run, SymbolId run_sym, SymbolId processor,
             SymbolId port, const Index& q, Side side) {
     run_names_.emplace(run_sym, std::move(run));
     frontier_.push_back({run_sym, processor, port, q, side});
   }
 
-  /// Registers a run for the recursive (single-probe) driver.
-  void AddRun(std::string run, SymbolId run_sym) {
-    run_names_.emplace(run_sym, std::move(run));
-  }
-
-  Status Visit(SymbolId run, SymbolId processor, SymbolId port, const Index& q,
-               Side side) {
-    ++steps_;
-    auto key = std::make_tuple(run, processor, port, store_.InternIndex(q),
-                               side == Side::kOutput);
-    if (!visited_.insert(key).second) return Status::OK();
-
-    if (side == Side::kOutput) {
-      PROVLIN_ASSIGN_OR_RETURN(std::vector<XformRecord> rows,
-                               store_.FindProducing(run, processor, port, q));
-      if (processor == workflow_sym_) {
-        // Workflow-input source rows: traversal terminates here.
-        if (IsInteresting(interest_, workflow_sym_)) {
-          PROVLIN_RETURN_IF_ERROR(
-              AppendSourceBindings(store_, RunName(run), rows, q, &bindings_));
-        }
-        return Status::OK();
-      }
-      bool interesting = IsInteresting(interest_, processor);
-      std::set<std::pair<SymbolId, Index>> next;  // (in_port, index)
-      for (const XformRecord& row : rows) {
-        if (!row.has_in) continue;
-        if (interesting) {
-          PROVLIN_RETURN_IF_ERROR(
-              AppendInputBinding(store_, RunName(run), row, &bindings_));
-        }
-        next.insert({row.in_port, row.in_index});
-      }
-      for (const auto& [in_port, idx] : next) {
-        PROVLIN_RETURN_IF_ERROR(
-            Visit(run, processor, in_port, idx, Side::kInput));
-      }
-      return Status::OK();
-    }
-
-    // Input side: hop the arc backwards. Indices transfer identically,
-    // so the recursion keeps q; the xfer rows identify the source port.
-    PROVLIN_ASSIGN_OR_RETURN(std::vector<XferRecord> rows,
-                             store_.FindXfersInto(run, processor, port, q));
-    std::set<std::pair<SymbolId, SymbolId>> sources;
-    for (const XferRecord& row : rows) {
-      sources.insert({row.src_proc, row.src_port});
-    }
-    for (const auto& [src_proc, src_port] : sources) {
-      PROVLIN_RETURN_IF_ERROR(Visit(run, src_proc, src_port, q, Side::kOutput));
-    }
-    return Status::OK();
-  }
-
-  /// Frontier-batched form of the same traversal over all seeded runs:
-  /// each BFS level collects its pending visits, filters them through
-  /// the visited set (counting every attempt, like the recursive calls
-  /// do), and issues one producing batch and one xfer batch for the
-  /// whole level. Runs traverse independently (the visited key carries
-  /// the run), so the expanded node set — and therefore the logical
-  /// probe set, step count, and answer — is identical to looping the
-  /// recursion over the runs; only probe physics (shared descents,
-  /// cross-shard fan-out) and visit order differ, and the final
-  /// NormalizeBindings erases the order.
-  Status RunBatched() {
+  /// Def. 1 over all seeded runs, breadth first: each level collects
+  /// its pending visits, filters them through the visited set (counting
+  /// every attempt as a graph step), and issues one producing batch and
+  /// one xfer batch for the whole level. Runs traverse independently
+  /// (the visited key carries the run), so the expanded node set — and
+  /// therefore the logical probe set, step count, and answer — is that
+  /// of a depth-first recursion per run; only probe physics (shared
+  /// descents, cross-shard fan-out) and visit order differ, and the
+  /// final NormalizeBindings erases the order.
+  Status Run() {
     std::vector<Pending> frontier = std::move(frontier_);
     frontier_.clear();
     while (!frontier.empty()) {
@@ -227,85 +172,35 @@ class Traversal {
 
 }  // namespace
 
-Result<LineageAnswer> NaiveLineage::QueryOneRun(
-    const std::string& run, const workflow::PortRef& target, const Index& q,
-    const InterestSet& interest, ProbeExecution mode) const {
-  PROVLIN_TRACE_SPAN_VAR(span, "ni/query_run");
-  if (span.active()) span.SetArgs("run=" + run);
+Result<LineageAnswer> NaiveLineage::Query(const LineageRequest& request) const {
+  PROVLIN_TRACE_SPAN_VAR(span, "ni/query");
+  if (span.active()) {
+    span.SetArgs("runs=" + std::to_string(request.runs.size()));
+  }
   LineageAnswer answer;
   // Probe counts come from the calling thread's counters, not the global
   // aggregate: under the concurrent service the global delta would charge
   // this query with every other worker's probes.
   storage::ThreadStats before = storage::ThisThreadStats();
   WallTimer timer;
-
   // Resolve the query to id space once; names the trace never recorded
   // cannot have lineage, so the answer is empty.
-  auto run_sym = store_->LookupSymbol(run);
-  auto proc_sym = store_->LookupSymbol(target.processor);
-  auto port_sym = store_->LookupSymbol(target.port);
-  if (!run_sym || !proc_sym || !port_sym) {
-    answer.timing.t2_ms = timer.ElapsedMillis();
-    return answer;
-  }
-
-  Traversal traversal(*store_, interest);
-
-  // Auto-detect the starting side: a port with producing xform rows is an
-  // output (includes workflow inputs via their source rows); anything
-  // else is treated as an arc destination.
-  PROVLIN_ASSIGN_OR_RETURN(
-      std::vector<XformRecord> probe,
-      store_->FindProducing(*run_sym, *proc_sym, *port_sym, q));
-  Side side = probe.empty() ? Side::kInput : Side::kOutput;
-  if (mode == ProbeExecution::kBatched) {
-    traversal.Seed(run, *run_sym, *proc_sym, *port_sym, q, side);
-    PROVLIN_RETURN_IF_ERROR(traversal.RunBatched());
-  } else {
-    traversal.AddRun(run, *run_sym);
-    PROVLIN_RETURN_IF_ERROR(
-        traversal.Visit(*run_sym, *proc_sym, *port_sym, q, side));
-  }
-
-  // Per-run bindings stay raw: Query() normalizes once over the combined
-  // answer, and normalizing twice is pure duplicated sort/dedup work.
-  answer.bindings = std::move(traversal.bindings());
-  answer.timing.t2_ms = timer.ElapsedMillis();
-  answer.timing.graph_steps = traversal.steps();
-  answer.timing.trace_probes =
-      storage::ThisThreadStats().probes() - before.probes();
-  answer.timing.trace_descents =
-      storage::ThisThreadStats().descents - before.descents;
-  return answer;
-}
-
-Result<LineageAnswer> NaiveLineage::Query(const LineageRequest& request) const {
-  // Batched mode traverses all requested runs as one frontier: each
-  // level's probes for every run go to the store as one run-qualified
-  // batch, which a sharded store splits by owning shard and fans out
-  // concurrently. Runs still expand independently (the visited set is
-  // run-qualified), so the node set and bindings match the per-run loop.
-  if (mode_ == ProbeExecution::kBatched && request.runs.size() > 1) {
-    PROVLIN_TRACE_SPAN_VAR(span, "ni/query_multirun");
-    if (span.active()) {
-      span.SetArgs("runs=" + std::to_string(request.runs.size()));
+  auto proc_sym = store_->LookupSymbol(request.target.processor);
+  auto port_sym = store_->LookupSymbol(request.target.port);
+  if (proc_sym && port_sym) {
+    Traversal traversal(*store_, request.interest);
+    std::vector<std::string> runs;
+    std::vector<provenance::PortProbe> probes;
+    for (const std::string& run : request.runs) {
+      auto run_sym = store_->LookupSymbol(run);
+      if (!run_sym) continue;  // never recorded: no lineage
+      runs.push_back(run);
+      probes.push_back({*run_sym, *proc_sym, *port_sym, request.index});
     }
-    LineageAnswer combined;
-    storage::ThreadStats before = storage::ThisThreadStats();
-    WallTimer timer;
-    auto proc_sym = store_->LookupSymbol(request.target.processor);
-    auto port_sym = store_->LookupSymbol(request.target.port);
-    if (proc_sym && port_sym) {
-      Traversal traversal(*store_, request.interest);
-      // Side auto-detection batches too: one producing probe per run.
-      std::vector<std::string> runs;
-      std::vector<provenance::PortProbe> probes;
-      for (const std::string& run : request.runs) {
-        auto run_sym = store_->LookupSymbol(run);
-        if (!run_sym) continue;  // never recorded: no lineage
-        runs.push_back(run);
-        probes.push_back({*run_sym, *proc_sym, *port_sym, request.index});
-      }
+    // Auto-detect each run's starting side in one producing batch: a port
+    // with producing xform rows is an output (includes workflow inputs via
+    // their source rows); anything else is treated as an arc destination.
+    if (!probes.empty()) {
       PROVLIN_ASSIGN_OR_RETURN(
           std::vector<std::vector<XformRecord>> detect,
           store_->FindProducingBatch(probes));
@@ -314,36 +209,19 @@ Result<LineageAnswer> NaiveLineage::Query(const LineageRequest& request) const {
         traversal.Seed(runs[i], probes[i].run, *proc_sym, *port_sym,
                        request.index, side);
       }
-      PROVLIN_RETURN_IF_ERROR(traversal.RunBatched());
-      combined.bindings = std::move(traversal.bindings());
-      combined.timing.graph_steps = traversal.steps();
+      PROVLIN_RETURN_IF_ERROR(traversal.Run());
     }
-    combined.timing.t2_ms = timer.ElapsedMillis();
-    combined.timing.trace_probes =
-        storage::ThisThreadStats().probes() - before.probes();
-    combined.timing.trace_descents =
-        storage::ThisThreadStats().descents - before.descents;
-    NormalizeBindings(&combined.bindings);
-    PublishTiming(name(), combined.timing);
-    return combined;
+    answer.bindings = std::move(traversal.bindings());
+    answer.timing.graph_steps = traversal.steps();
   }
-
-  LineageAnswer combined;
-  for (const std::string& run : request.runs) {
-    PROVLIN_ASSIGN_OR_RETURN(
-        LineageAnswer one, QueryOneRun(run, request.target, request.index,
-                                       request.interest, mode_));
-    combined.bindings.insert(combined.bindings.end(), one.bindings.begin(),
-                             one.bindings.end());
-    combined.timing.t1_ms += one.timing.t1_ms;
-    combined.timing.t2_ms += one.timing.t2_ms;
-    combined.timing.trace_probes += one.timing.trace_probes;
-    combined.timing.graph_steps += one.timing.graph_steps;
-    combined.timing.trace_descents += one.timing.trace_descents;
-  }
-  NormalizeBindings(&combined.bindings);
-  PublishTiming(name(), combined.timing);
-  return combined;
+  answer.timing.t2_ms = timer.ElapsedMillis();
+  answer.timing.trace_probes =
+      storage::ThisThreadStats().probes() - before.probes();
+  answer.timing.trace_descents =
+      storage::ThisThreadStats().descents - before.descents;
+  NormalizeBindings(&answer.bindings);
+  PublishTiming(name(), answer.timing);
+  return answer;
 }
 
 }  // namespace provlin::lineage

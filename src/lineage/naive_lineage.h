@@ -23,40 +23,27 @@ namespace provlin::lineage {
 /// store are safe.
 class NaiveLineage : public LineageEngine {
  public:
-  /// The store must outlive the engine. The default kBatched mode runs
-  /// the Def. 1 traversal as a frontier-batched BFS: each level's probes
-  /// (all producing probes, then all xfer probes) go to the trace store
-  /// as one sorted batch, amortizing B+-tree descents. kSingleProbe
-  /// keeps the seed's depth-first recursion with one descent per probe.
-  /// Both modes visit the same nodes, issue the same logical probes, and
-  /// return byte-identical answers.
-  explicit NaiveLineage(const provenance::TraceStore* store,
-                        ProbeExecution mode = ProbeExecution::kBatched)
-      : store_(store), mode_(mode) {}
+  /// The store must outlive the engine. The Def. 1 traversal runs as a
+  /// frontier-batched BFS: each level's probes (all producing probes,
+  /// then all xfer probes) go to the trace store as one sorted batch,
+  /// amortizing B+-tree descents.
+  explicit NaiveLineage(const provenance::TraceStore* store) : store_(store) {}
 
   std::string_view name() const override { return "naive"; }
 
   /// Computes the lineage of ⟨target[index]⟩ over the request's runs.
   /// The target may be any processor port or a workflow output/input
   /// port; the side (output vs. input) is auto-detected from the trace.
-  /// NI shares no *results* across runs (§3.4), but in kBatched mode a
-  /// multi-run request traverses all runs as one frontier: each level's
-  /// probes carry their run, so a sharded store groups them by owning
-  /// shard and fans the per-shard sub-batches out concurrently. The
-  /// expanded node set per run — and the answer — is identical to the
-  /// per-run loop kSingleProbe still uses.
+  /// NI shares no *results* across runs (§3.4), but every run in scope
+  /// traverses as one frontier: each level's probes carry their run, so
+  /// a sharded store groups them by owning shard and fans the per-shard
+  /// sub-batches out concurrently. Runs still expand independently, so
+  /// the node set per run — and the answer — is that of a separate
+  /// traversal per run.
   Result<LineageAnswer> Query(const LineageRequest& request) const override;
 
  private:
-  /// One full Def. 1 traversal of a single run.
-  Result<LineageAnswer> QueryOneRun(const std::string& run,
-                                    const workflow::PortRef& target,
-                                    const Index& q,
-                                    const InterestSet& interest,
-                                    ProbeExecution mode) const;
-
   const provenance::TraceStore* store_;
-  ProbeExecution mode_;
 };
 
 }  // namespace provlin::lineage

@@ -1,6 +1,7 @@
 #include "lineage/query.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <string_view>
 
@@ -64,6 +65,104 @@ void PublishTiming(std::string_view engine, const LineageTiming& timing) {
              .first;
   }
   it->second->Increment();
+}
+
+namespace {
+
+thread_local std::optional<ExplainResult>* g_active_explain = nullptr;
+
+std::string JsonQuote(const std::string& s) {
+  std::string out = "\"";
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += "\"";
+  return out;
+}
+
+}  // namespace
+
+ExplainScope::ExplainScope(std::optional<ExplainResult>* out)
+    : prev_(g_active_explain) {
+  g_active_explain = out;
+}
+
+ExplainScope::~ExplainScope() { g_active_explain = prev_; }
+
+std::optional<ExplainResult>* ExplainScope::Active() {
+  return g_active_explain;
+}
+
+std::string ExplainResult::ToString() const {
+  char buf[160];
+  std::string out = "IndexProj plan: " + std::to_string(steps.size()) +
+                    " trace queries, " + std::to_string(plan.graph_steps) +
+                    " graph steps, s1 ";
+  std::snprintf(buf, sizeof(buf), "%.3f ms (%s)\n", plan.t1_ms,
+                plan.plan_cache_hit ? "plan cache hit" : "plan built");
+  out += buf;
+  for (size_t i = 0; i < steps.size(); ++i) {
+    const ExplainStep& s = steps[i];
+    std::snprintf(buf, sizeof(buf),
+                  "  step %2zu  %-10s %-40s probes=%llu rows=%llu "
+                  "bindings=%llu\n",
+                  i, s.kind.c_str(), s.query.c_str(),
+                  static_cast<unsigned long long>(s.trace_probes),
+                  static_cast<unsigned long long>(s.rows),
+                  static_cast<unsigned long long>(s.bindings));
+    out += buf;
+  }
+  std::snprintf(buf, sizeof(buf),
+                "  s2 (batched, shared by all steps): probes=%llu "
+                "descents=%llu %.3f ms\n",
+                static_cast<unsigned long long>(plan.trace_probes),
+                static_cast<unsigned long long>(plan.trace_descents),
+                plan.t2_ms);
+  out += buf;
+  return out;
+}
+
+std::string ExplainResult::ToJson() const {
+  std::string out = "{";
+  out += "\"plan_cache_hit\":" +
+         std::string(plan.plan_cache_hit ? "true" : "false");
+  out += ",\"t1_ms\":" + std::to_string(plan.t1_ms);
+  out += ",\"graph_steps\":" + std::to_string(plan.graph_steps);
+  out += ",\"trace_probes\":" + std::to_string(plan.trace_probes);
+  out += ",\"trace_descents\":" + std::to_string(plan.trace_descents);
+  out += ",\"t2_ms\":" + std::to_string(plan.t2_ms);
+  out += ",\"steps\":[";
+  for (size_t i = 0; i < steps.size(); ++i) {
+    const ExplainStep& s = steps[i];
+    if (i > 0) out += ",";
+    out += "{\"kind\":" + JsonQuote(s.kind);
+    out += ",\"query\":" + JsonQuote(s.query);
+    out += ",\"trace_probes\":" + std::to_string(s.trace_probes);
+    out += ",\"rows\":" + std::to_string(s.rows);
+    out += ",\"bindings\":" + std::to_string(s.bindings);
+    out += "}";
+  }
+  out += "]}";
+  return out;
 }
 
 }  // namespace provlin::lineage

@@ -1,6 +1,7 @@
 #ifndef PROVLIN_LINEAGE_QUERY_H_
 #define PROVLIN_LINEAGE_QUERY_H_
 
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -91,7 +92,7 @@ struct LineageTiming {
   uint64_t trace_probes = 0;
   /// Physical B+-tree root-to-leaf descents behind those probes. Batched
   /// execution amortizes descents across sorted probes, so this drops
-  /// below trace_probes; single-probe execution pays one per probe.
+  /// below trace_probes.
   uint64_t trace_descents = 0;
   /// Nodes visited on the graph being traversed (provenance graph for
   /// NI, specification graph for IndexProj).
@@ -107,6 +108,58 @@ struct LineageTiming {
 struct LineageAnswer {
   std::vector<LineageBinding> bindings;
   LineageTiming timing;
+};
+
+/// One of a plan's trace queries in an EXPLAIN record, with the costs
+/// the batched execution attributes to it, summed over the runs in
+/// scope: the logical probes it issued (whether the storage layer or a
+/// shared probe memo answered them), the trace rows it fetched, and the
+/// answer bindings it contributed. Rendered when recorded, so a record
+/// reads without the trace store.
+struct ExplainStep {
+  std::string kind;   ///< "consume", "source", or "source-via"
+  std::string query;  ///< Q(P, X_i, p_i)
+  uint64_t trace_probes = 0;
+  uint64_t rows = 0;
+  uint64_t bindings = 0;
+};
+
+/// EXPLAIN record of one IndexProj execution (§3.3): the plan's steps
+/// and the costs that execution paid. One batch answers every step, so
+/// its descents and probe time are shared and reported once per plan:
+/// `plan` is the execution's own LineageTiming (s1 time and cache hit,
+/// graph steps, and the s2 probes, descents and time).
+struct ExplainResult {
+  LineageTiming plan;
+  std::vector<ExplainStep> steps;
+
+  /// Human-readable: the s1 line, one line per step, the s2 line.
+  std::string ToString() const;
+
+  /// The same record as one JSON object — the slow-request log's
+  /// EXPLAIN payload (DESIGN.md §14). Field-for-field what ToString()
+  /// prints, so the CLI's `explain` and a logged request compare
+  /// directly.
+  std::string ToJson() const;
+};
+
+/// RAII installer mirroring provenance::ProbeBreakdownScope: while in
+/// scope, an engine that keeps an EXPLAIN record (IndexProj) emplaces
+/// the record of a Query() it runs on the calling thread into `*out`;
+/// other engines leave it empty. nullptr records nothing. Scopes nest;
+/// the previous slot is restored on destruction.
+class ExplainScope {
+ public:
+  explicit ExplainScope(std::optional<ExplainResult>* out);
+  ~ExplainScope();
+  ExplainScope(const ExplainScope&) = delete;
+  ExplainScope& operator=(const ExplainScope&) = delete;
+
+  /// The calling thread's active slot (nullptr outside any scope).
+  static std::optional<ExplainResult>* Active();
+
+ private:
+  std::optional<ExplainResult>* prev_;
 };
 
 /// Normalizes bindings in place: sorts, dedups, and reduces the answer

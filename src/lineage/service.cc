@@ -197,8 +197,11 @@ std::vector<ServiceResponse> LineageService::ExecuteBatch(
         } else {
           // The breakdown scope makes the trace store attribute this
           // request's physical probes per shard and per tier into
-          // resp.breakdown (each response slot belongs to one worker).
+          // resp.breakdown (each response slot belongs to one worker);
+          // the explain scope has a marked request's engine record its
+          // EXPLAIN into resp.explain.
           provenance::ProbeBreakdownScope breakdown_scope(&resp.breakdown);
+          ExplainScope explain_scope(req.explain ? &resp.explain : nullptr);
           Result<LineageAnswer> answer = req.engine->Query(req.request);
           if (answer.ok()) {
             resp.answer = std::move(answer).value();

@@ -2,6 +2,7 @@
 #define PROVLIN_LINEAGE_SERVICE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,10 @@ struct ServiceOptions {
 struct ServiceRequest {
   const LineageEngine* engine = nullptr;
   LineageRequest request;
+  /// Record the EXPLAIN of this request's execution into
+  /// ServiceResponse::explain (the server marks requests this way while
+  /// its slow-request log is open).
+  bool explain = false;
 };
 
 /// Per-request outcome, positionally aligned with the submitted batch.
@@ -66,6 +71,10 @@ struct ServiceResponse {
   /// Per-shard / per-tier physical probe work (DESIGN.md §14), filled
   /// through the ProbeBreakdownScope the worker installs per request.
   provenance::ProbeBreakdown breakdown;
+  /// EXPLAIN record of this execution, filled through the ExplainScope
+  /// the worker installs for a request marked `explain` — by engines
+  /// that keep one (IndexProj); empty otherwise.
+  std::optional<ExplainResult> explain;
 };
 
 /// Cumulative service counters — a value snapshot, consumable by the CLI

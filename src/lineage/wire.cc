@@ -88,44 +88,36 @@ Result<LineageTiming> DecodeTiming(storage::BinaryReader* r) {
   return t;
 }
 
-void WriteHeader(uint8_t version, uint8_t type, uint64_t request_id,
+void WriteHeader(MessageType type, uint64_t request_id,
                  storage::BinaryWriter* w) {
-  w->WriteU8(version);
-  w->WriteU8(type);
+  w->WriteU8(kWireVersion);
+  w->WriteU8(static_cast<uint8_t>(type));
   w->WriteU64(request_id);
 }
 
 /// Reads and validates the version byte, which gates everything else:
 /// an unsupported version is rejected before a single body byte is
 /// parsed.
-Result<uint8_t> ReadVersion(storage::BinaryReader* r) {
+Status ReadVersion(storage::BinaryReader* r) {
   PROVLIN_ASSIGN_OR_RETURN(uint8_t version, r->ReadU8());
-  if (!IsSupportedWireVersion(version)) {
+  if (version != kWireVersion) {
     return Status::InvalidArgument("unsupported wire version " +
                                    std::to_string(version) + " (expected " +
-                                   std::to_string(kWireVersionLegacy) + " or " +
                                    std::to_string(kWireVersion) + ")");
   }
-  return version;
+  return Status::OK();
 }
 
 /// Reads and validates the common header for a single expected type,
-/// returning {version, request id}.
-struct Header {
-  uint8_t version = 0;
-  uint64_t request_id = 0;
-};
-
-Result<Header> ReadHeader(storage::BinaryReader* r, MessageType expected) {
-  Header h;
-  PROVLIN_ASSIGN_OR_RETURN(h.version, ReadVersion(r));
+/// returning the request id.
+Result<uint64_t> ReadHeader(storage::BinaryReader* r, MessageType expected) {
+  PROVLIN_RETURN_IF_ERROR(ReadVersion(r));
   PROVLIN_ASSIGN_OR_RETURN(uint8_t type, r->ReadU8());
   if (type != static_cast<uint8_t>(expected)) {
     return Status::InvalidArgument("unexpected message type " +
                                    std::to_string(type));
   }
-  PROVLIN_ASSIGN_OR_RETURN(h.request_id, r->ReadU64());
-  return h;
+  return r->ReadU64();
 }
 
 Status ExpectEnd(const storage::BinaryReader& r) {
@@ -287,26 +279,11 @@ Status ResponseEnvelope::ToStatus() const {
 }
 
 std::string EncodeRequestEnvelope(const RequestEnvelope& envelope) {
-  const uint8_t version = IsSupportedWireVersion(envelope.version)
-                              ? envelope.version
-                              : kWireVersion;
   storage::BinaryWriter w;
-  WriteHeader(version, static_cast<uint8_t>(MessageType::kRequest),
-              envelope.request_id, &w);
-  if (version >= kWireVersion) {
-    w.WriteU8(envelope.want_timeline ? kRequestFlagWantTimeline : 0);
-  }
+  WriteHeader(MessageType::kRequest, envelope.request_id, &w);
+  w.WriteU8(envelope.want_timeline ? kRequestFlagWantTimeline : 0);
   w.WriteString(envelope.engine);
   EncodeLineageRequest(envelope.request, &w);
-  return w.buffer();
-}
-
-std::string EncodeAnswerResponse(uint64_t request_id,
-                                 const LineageAnswer& answer) {
-  storage::BinaryWriter w;
-  WriteHeader(kWireVersionLegacy, static_cast<uint8_t>(MessageType::kAnswer),
-              request_id, &w);
-  EncodeLineageAnswer(answer, &w);
   return w.buffer();
 }
 
@@ -314,8 +291,7 @@ std::string EncodeAnswerResponseV2(uint64_t request_id,
                                    const LineageAnswer& answer,
                                    const RequestTimeline* timeline) {
   storage::BinaryWriter w;
-  WriteHeader(kWireVersion, static_cast<uint8_t>(MessageType::kAnswer),
-              request_id, &w);
+  WriteHeader(MessageType::kAnswer, request_id, &w);
   EncodeLineageAnswer(answer, &w);
   w.WriteU8(timeline != nullptr ? 1 : 0);
   if (timeline != nullptr) EncodeRequestTimeline(*timeline, &w);
@@ -323,11 +299,9 @@ std::string EncodeAnswerResponseV2(uint64_t request_id,
 }
 
 std::string EncodeErrorResponse(uint64_t request_id, ErrorCode code,
-                                std::string_view message, uint8_t version) {
-  if (!IsSupportedWireVersion(version)) version = kWireVersionLegacy;
+                                std::string_view message) {
   storage::BinaryWriter w;
-  WriteHeader(version, static_cast<uint8_t>(MessageType::kError), request_id,
-              &w);
+  WriteHeader(MessageType::kError, request_id, &w);
   w.WriteU8(static_cast<uint8_t>(code));
   w.WriteString(message);
   return w.buffer();
@@ -335,16 +309,14 @@ std::string EncodeErrorResponse(uint64_t request_id, ErrorCode code,
 
 std::string EncodeStatsRequest(const StatsRequest& request) {
   storage::BinaryWriter w;
-  WriteHeader(kWireVersion, static_cast<uint8_t>(MessageType::kStatsRequest),
-              request.request_id, &w);
+  WriteHeader(MessageType::kStatsRequest, request.request_id, &w);
   w.WriteU8(request.want);
   return w.buffer();
 }
 
 std::string EncodeStatsResponse(const StatsResponse& response) {
   storage::BinaryWriter w;
-  WriteHeader(kWireVersion, static_cast<uint8_t>(MessageType::kStatsResponse),
-              response.request_id, &w);
+  WriteHeader(MessageType::kStatsResponse, response.request_id, &w);
   w.WriteU8(response.has_metrics ? 1 : 0);
   if (response.has_metrics) {
     w.WriteString(response.prometheus_text);
@@ -362,17 +334,14 @@ std::string EncodeStatsResponse(const StatsResponse& response) {
 Result<RequestEnvelope> DecodeRequestEnvelope(std::string_view payload) {
   storage::BinaryReader r(payload);
   RequestEnvelope envelope;
-  PROVLIN_ASSIGN_OR_RETURN(Header h, ReadHeader(&r, MessageType::kRequest));
-  envelope.version = h.version;
-  envelope.request_id = h.request_id;
-  if (h.version >= kWireVersion) {
-    PROVLIN_ASSIGN_OR_RETURN(uint8_t flags, r.ReadU8());
-    if ((flags & ~kKnownRequestFlags) != 0) {
-      return Status::Corruption("unknown request flags 0x" +
-                                std::to_string(flags));
-    }
-    envelope.want_timeline = (flags & kRequestFlagWantTimeline) != 0;
+  PROVLIN_ASSIGN_OR_RETURN(envelope.request_id,
+                           ReadHeader(&r, MessageType::kRequest));
+  PROVLIN_ASSIGN_OR_RETURN(uint8_t flags, r.ReadU8());
+  if ((flags & ~kKnownRequestFlags) != 0) {
+    return Status::Corruption("unknown request flags 0x" +
+                              std::to_string(flags));
   }
+  envelope.want_timeline = (flags & kRequestFlagWantTimeline) != 0;
   PROVLIN_ASSIGN_OR_RETURN(envelope.engine, r.ReadString());
   PROVLIN_ASSIGN_OR_RETURN(envelope.request, DecodeLineageRequest(&r));
   PROVLIN_RETURN_IF_ERROR(ExpectEnd(r));
@@ -384,22 +353,20 @@ Result<ResponseEnvelope> DecodeResponseEnvelope(std::string_view payload) {
   ResponseEnvelope envelope;
   // Responses carry either message type; peek the header by hand since
   // ReadHeader pins one expected type.
-  PROVLIN_ASSIGN_OR_RETURN(envelope.version, ReadVersion(&r));
+  PROVLIN_RETURN_IF_ERROR(ReadVersion(&r));
   PROVLIN_ASSIGN_OR_RETURN(uint8_t type, r.ReadU8());
   PROVLIN_ASSIGN_OR_RETURN(envelope.request_id, r.ReadU64());
   if (type == static_cast<uint8_t>(MessageType::kAnswer)) {
     envelope.ok = true;
     PROVLIN_ASSIGN_OR_RETURN(envelope.answer, DecodeLineageAnswer(&r));
-    if (envelope.version >= kWireVersion) {
-      PROVLIN_ASSIGN_OR_RETURN(uint8_t has, r.ReadU8());
-      if (has > 1) {
-        return Status::Corruption("timeline flag is " + std::to_string(has) +
-                                  ", not 0/1");
-      }
-      envelope.has_timeline = has == 1;
-      if (envelope.has_timeline) {
-        PROVLIN_ASSIGN_OR_RETURN(envelope.timeline, DecodeRequestTimeline(&r));
-      }
+    PROVLIN_ASSIGN_OR_RETURN(uint8_t has, r.ReadU8());
+    if (has > 1) {
+      return Status::Corruption("timeline flag is " + std::to_string(has) +
+                                ", not 0/1");
+    }
+    envelope.has_timeline = has == 1;
+    if (envelope.has_timeline) {
+      PROVLIN_ASSIGN_OR_RETURN(envelope.timeline, DecodeRequestTimeline(&r));
     }
   } else if (type == static_cast<uint8_t>(MessageType::kError)) {
     envelope.ok = false;
@@ -421,13 +388,8 @@ Result<ResponseEnvelope> DecodeResponseEnvelope(std::string_view payload) {
 Result<StatsRequest> DecodeStatsRequest(std::string_view payload) {
   storage::BinaryReader r(payload);
   StatsRequest request;
-  PROVLIN_ASSIGN_OR_RETURN(Header h,
+  PROVLIN_ASSIGN_OR_RETURN(request.request_id,
                            ReadHeader(&r, MessageType::kStatsRequest));
-  if (h.version < kWireVersion) {
-    return Status::InvalidArgument("STATS requires wire version " +
-                                   std::to_string(kWireVersion));
-  }
-  request.request_id = h.request_id;
   PROVLIN_ASSIGN_OR_RETURN(request.want, r.ReadU8());
   if ((request.want & ~kKnownStatsWants) != 0) {
     return Status::Corruption("unknown stats-want bits 0x" +
@@ -440,13 +402,8 @@ Result<StatsRequest> DecodeStatsRequest(std::string_view payload) {
 Result<StatsResponse> DecodeStatsResponse(std::string_view payload) {
   storage::BinaryReader r(payload);
   StatsResponse response;
-  PROVLIN_ASSIGN_OR_RETURN(Header h,
+  PROVLIN_ASSIGN_OR_RETURN(response.request_id,
                            ReadHeader(&r, MessageType::kStatsResponse));
-  if (h.version < kWireVersion) {
-    return Status::InvalidArgument("STATS requires wire version " +
-                                   std::to_string(kWireVersion));
-  }
-  response.request_id = h.request_id;
   PROVLIN_ASSIGN_OR_RETURN(uint8_t has_metrics, r.ReadU8());
   if (has_metrics > 1) {
     return Status::Corruption("metrics flag is " + std::to_string(has_metrics) +

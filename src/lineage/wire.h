@@ -26,31 +26,18 @@ namespace provlin::lineage::wire {
 /// followed by a type-specific body built from the storage layer's
 /// little-endian primitives (storage/serialize.h): fixed-width
 /// integers, length-prefixed strings. The version byte is checked
-/// before anything else is read, so frames are dispatched on it and a
-/// from-the-future version is rejected as unsupported-version, never
-/// misparsed. Request ids are client-assigned and echoed verbatim in
-/// the response, which is what lets one connection pipeline many
-/// requests.
+/// before anything else is read, so a frame in a version this codec
+/// does not speak is rejected as unsupported-version, never misparsed.
+/// Request ids are client-assigned and echoed verbatim in the response,
+/// which is what lets one connection pipeline many requests.
 ///
-/// Two versions are live:
-///
-///   v1 — the PR 7 shape: request = engine + LineageRequest, answer =
-///        LineageAnswer, error = code + message. v1 frames encode and
-///        decode byte-identically to the original codec, so a v1 peer
-///        interoperates with a v2 peer with zero behavior change.
-///   v2 — adds a flags byte to requests (bit 0: the client wants a
-///        RequestTimeline appended to the answer), an optional
-///        timeline trailer on answers, and the STATS message pair for
-///        scraping a live server's metrics registry and tracer ring.
-///
-/// The server always replies in the version of the request it is
-/// answering, so an old client never sees bytes it cannot parse.
-inline constexpr uint8_t kWireVersionLegacy = 1;
+/// One version is live, v2: request = flags byte (bit 0: the client
+/// wants a RequestTimeline appended to the answer) + engine +
+/// LineageRequest; answer = LineageAnswer + optional timeline trailer;
+/// error = code + message; plus the STATS message pair for scraping a
+/// live server's metrics registry and tracer ring. A frame in any other
+/// version is answered with a typed UNSUPPORTED_VERSION error.
 inline constexpr uint8_t kWireVersion = 2;
-
-inline constexpr bool IsSupportedWireVersion(uint8_t v) {
-  return v == kWireVersionLegacy || v == kWireVersion;
-}
 
 /// Default ceiling on one frame's payload; the server and client both
 /// reject frames whose length prefix exceeds their configured maximum
@@ -62,11 +49,11 @@ enum class MessageType : uint8_t {
   kRequest = 1,        ///< client → server: RequestEnvelope
   kAnswer = 2,         ///< server → client: LineageAnswer for the echoed id
   kError = 3,          ///< server → client: typed ErrorCode + message
-  kStatsRequest = 4,   ///< client → server: scrape request (v2 only)
-  kStatsResponse = 5,  ///< server → client: registry/tracer snapshot (v2 only)
+  kStatsRequest = 4,   ///< client → server: scrape request
+  kStatsResponse = 5,  ///< server → client: registry/tracer snapshot
 };
 
-/// Request flags carried by v2 request envelopes. Unknown bits are
+/// Request flags carried by request envelopes. Unknown bits are
 /// rejected at decode time so a future flag cannot be silently
 /// half-honored by an old server.
 inline constexpr uint8_t kRequestFlagWantTimeline = 0x01;
@@ -104,7 +91,7 @@ struct ShardCost {
 };
 
 /// Phase decomposition of one served request, measured on the server
-/// and attached to a v2 answer when the client set
+/// and attached to an answer when the client set
 /// kRequestFlagWantTimeline. All durations are wall milliseconds.
 ///
 /// `serialize_ms` and `write_ms` are structurally unknowable at encode
@@ -152,26 +139,25 @@ Result<RequestTimeline> DecodeRequestTimeline(storage::BinaryReader* r);
 
 /// One served request: which engine ("naive" | "indexproj") answers
 /// which LineageRequest, matched to its response by `request_id`.
-/// `version` selects the frame encoding; a default-constructed
-/// envelope still encodes the exact v1 bytes of the original codec.
 struct RequestEnvelope {
   uint64_t request_id = 0;
   std::string engine;
   LineageRequest request;
-  uint8_t version = kWireVersionLegacy;
-  bool want_timeline = false;  ///< v2 only; ignored when version == 1
+  /// Always kWireVersion: the one version encoders write and decoders
+  /// accept.
+  uint8_t version = kWireVersion;
+  bool want_timeline = false;
 };
 
 /// One served response: the answer for `request_id`, or a typed error.
-/// v2 answers may carry a RequestTimeline trailer (`has_timeline`).
+/// Answers may carry a RequestTimeline trailer (`has_timeline`).
 struct ResponseEnvelope {
   uint64_t request_id = 0;
   bool ok = false;
   LineageAnswer answer;                    // meaningful iff ok
   ErrorCode code = ErrorCode::kInternal;   // meaningful iff !ok
   std::string message;                     // meaningful iff !ok
-  uint8_t version = kWireVersionLegacy;    // version of the decoded frame
-  bool has_timeline = false;               // v2 answers only
+  bool has_timeline = false;               // answers only
   RequestTimeline timeline;                // meaningful iff has_timeline
 
   /// Status view of an error response: kOverloaded maps to the typed
@@ -182,7 +168,7 @@ struct ResponseEnvelope {
 };
 
 /// One STATS scrape: which snapshots the client wants (bitmask of
-/// kStatsWant*). Always a v2 frame.
+/// kStatsWant*).
 struct StatsRequest {
   uint64_t request_id = 0;
   uint8_t want = kStatsWantMetrics;
@@ -203,15 +189,12 @@ struct StatsResponse {
 
 /// Full payloads (header + body), ready for framing.
 std::string EncodeRequestEnvelope(const RequestEnvelope& envelope);
-std::string EncodeAnswerResponse(uint64_t request_id,
-                                 const LineageAnswer& answer);
-/// v2 answer frame; appends `timeline` when non-null.
+/// Answer frame; appends `timeline` when non-null.
 std::string EncodeAnswerResponseV2(uint64_t request_id,
                                    const LineageAnswer& answer,
                                    const RequestTimeline* timeline);
 std::string EncodeErrorResponse(uint64_t request_id, ErrorCode code,
-                                std::string_view message,
-                                uint8_t version = kWireVersionLegacy);
+                                std::string_view message);
 std::string EncodeStatsRequest(const StatsRequest& request);
 std::string EncodeStatsResponse(const StatsResponse& response);
 

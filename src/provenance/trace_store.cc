@@ -517,13 +517,6 @@ struct TraceStore::Rep {
   common::Mutex run_mu{common::LockRank::kStoreRunSeq};
   int64_t next_run_seq GUARDED_BY(run_mu) = 0;
 
-  /// Single externally-attached WAL shared by all shards (legacy
-  /// AttachWal surface). Appends from concurrent writer threads
-  /// serialize here; per-shard owned WALs do not take this lock.
-  common::Mutex wal_mu{common::LockRank::kStoreSharedWal};
-  storage::WriteAheadLog* shared_wal GUARDED_BY(wal_mu) = nullptr;
-  size_t shared_wal_syms GUARDED_BY(wal_mu) = 0;
-
   common::metrics::Counter* rows_ingested = nullptr;
 
   ~Rep() {
@@ -553,37 +546,6 @@ struct TraceStore::Rep {
   }
 
   Shard* ShardForSym(SymbolId run) { return shards[ShardIdOfSym(run)].get(); }
-
-  /// Appends one row to the shared WAL (no-op when detached), flushing
-  /// the symbol-definition tail first. Called with the shard's data_mu
-  /// held exclusively; wal_mu nests inside it.
-  Status LogShared(uint8_t tag, const Row& row) EXCLUDES(wal_mu) {
-    common::MutexLock lock(wal_mu);
-    if (shared_wal == nullptr) return Status::OK();
-    const common::SymbolTable& symbols = db->symbols();
-    while (shared_wal_syms < symbols.size()) {
-      storage::BinaryWriter w;
-      w.WriteU8(kTagSymbol);
-      w.WriteString(symbols.NameOf(static_cast<SymbolId>(shared_wal_syms)));
-      PROVLIN_RETURN_IF_ERROR(shared_wal->Append(w.buffer()));
-      ++shared_wal_syms;
-    }
-    storage::BinaryWriter w;
-    w.WriteU8(tag);
-    w.WriteRow(row);
-    return shared_wal->Append(w.buffer());
-  }
-
-  /// Same for a run-deletion record (string payload, no symbol flush —
-  /// the record carries the run id verbatim).
-  Status LogSharedDelete(const std::string& run_id) EXCLUDES(wal_mu) {
-    common::MutexLock lock(wal_mu);
-    if (shared_wal == nullptr) return Status::OK();
-    storage::BinaryWriter w;
-    w.WriteU8(kTagDeleteRun);
-    w.WriteString(run_id);
-    return shared_wal->Append(w.buffer());
-  }
 
   /// Seals one run's trace rows into compressed segments: encode each
   /// table's rows, delete them from the hot tier, park the encoded
@@ -697,7 +659,6 @@ struct TraceStore::Rep {
       w.WriteRow(p.row);
       PROVLIN_RETURN_IF_ERROR(s->owned_wal->Append(w.buffer()));
     }
-    PROVLIN_RETURN_IF_ERROR(LogShared(p.tag, p.row));
     // Late writes to a sealed run (out-of-order capture, replayed
     // rows) transparently pull the run back into the hot tier first.
     if ((p.tag == kTagXform || p.tag == kTagXfer) &&
@@ -1105,11 +1066,6 @@ IndexId TraceStore::InternIndex(const Index& index) const {
 // WAL attach / replay
 // ---------------------------------------------------------------------------
 
-void TraceStore::AttachWal(storage::WriteAheadLog* wal) {
-  common::MutexLock lock(rep_->wal_mu);
-  rep_->shared_wal = wal;
-}
-
 Status TraceStore::AttachWalFiles(const std::string& base) {
   for (auto& shard : rep_->shards) {
     PROVLIN_ASSIGN_OR_RETURN(
@@ -1362,7 +1318,6 @@ Result<size_t> TraceStore::DeleteRun(const std::string& run_id) {
     w.WriteString(run_id);
     PROVLIN_RETURN_IF_ERROR(s->owned_wal->Append(w.buffer()));
   }
-  PROVLIN_RETURN_IF_ERROR(rep->LogSharedDelete(run_id));
   return removed;
 }
 

@@ -70,6 +70,14 @@ struct PortProbe {
   Index index;
 };
 
+/// Logical index probes one overlap probe at `index` costs, on either
+/// tier: one range probe for the whole value, else one equality probe
+/// per prefix of `index` plus one extension range. The unit of the
+/// storage probe counters (LineageTiming::trace_probes).
+inline uint64_t OverlapProbeCount(const Index& index) {
+  return index.empty() ? 1 : index.length() + 2;
+}
+
 /// Per-batch dedup memo for identical trace probes. The LineageService
 /// installs one per batch (via ProbeMemoScope): the first request to
 /// issue a given (probe kind, run, processor, port, index) pays the
@@ -330,19 +338,14 @@ class TraceStore {
 
   // --- write side (used by TraceRecorder) ---------------------------------
 
-  /// Attaches a single external write-ahead log shared by every shard:
-  /// subsequent trace-row inserts are logged (and flushed) before they
-  /// reach the tables, making capture crash-safe. Appends from multiple
-  /// shards serialize on an internal mutex. Pass nullptr to detach. The
-  /// WAL must outlive the store.
-  void AttachWal(storage::WriteAheadLog* wal);
-
-  /// Attaches one store-owned WAL file per shard under `base`: shard 0
-  /// logs to `base` itself (so an unsharded store produces exactly the
-  /// legacy single-file layout), shard k to storage::ShardWalPath(base,
-  /// k), and a manifest recording the shard count is written next to
-  /// them when the store has more than one shard. Writer threads append
-  /// to their own file without cross-shard contention.
+  /// Attaches one store-owned WAL file per shard under `base`, making
+  /// capture crash-safe: each trace row is logged (and flushed) before
+  /// it reaches the tables. Shard 0 logs to `base` itself (so an
+  /// unsharded store writes one file at `base`), shard k to
+  /// storage::ShardWalPath(base, k), and a manifest recording the shard
+  /// count is written next to them when the store has more than one
+  /// shard. Writer threads append to their own file without cross-shard
+  /// contention.
   Status AttachWalFiles(const std::string& base);
 
   /// Replays a WAL produced by a (possibly crashed) capture session into

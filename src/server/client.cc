@@ -20,10 +20,7 @@ Result<uint64_t> LineageClient::Send(std::string_view engine,
   envelope.request_id = next_id_++;
   envelope.engine = std::string(engine);
   envelope.request = request;
-  if (want_timeline) {
-    envelope.version = wire::kWireVersion;
-    envelope.want_timeline = true;
-  }
+  envelope.want_timeline = want_timeline;
   PROVLIN_RETURN_IF_ERROR(WriteFrame(
       socket_, wire::EncodeRequestEnvelope(envelope), max_frame_bytes_));
   return envelope.request_id;

@@ -28,10 +28,9 @@ class LineageClient {
   LineageClient& operator=(LineageClient&&) = default;
 
   /// Sends one request frame; returns the request id it was assigned
-  /// (monotonic per client, echoed back in the response). The default
-  /// encodes wire v1 — byte-identical to every pre-timeline client.
-  /// Passing want_timeline=true upgrades the frame to wire v2 and asks
-  /// the server to attach its per-phase RequestTimeline to the answer.
+  /// (monotonic per client, echoed back in the response).
+  /// want_timeline=true asks the server to attach its per-phase
+  /// RequestTimeline to the answer.
   Result<uint64_t> Send(std::string_view engine,
                         const lineage::LineageRequest& request,
                         bool want_timeline = false);
@@ -54,7 +53,7 @@ class LineageClient {
       std::string_view engine, const lineage::LineageRequest& request,
       bool want_timeline = false);
 
-  /// Synchronous STATS scrape (wire v2): asks the server for a metrics
+  /// Synchronous STATS scrape: asks the server for a metrics
   /// snapshot and/or its tracer ring without touching the dispatch
   /// queue. `want` is a bitmask of wire::kStatsWantMetrics /
   /// kStatsWantTrace. Must not be interleaved with pipelined Send()s

@@ -101,10 +101,6 @@ LineageServer::LineageServer(EngineMap engines, ServerOptions options)
 
 LineageServer::~LineageServer() { Stop(); }
 
-void LineageServer::SetExplainer(std::string engine, ExplainFn fn) {
-  explainers_[std::move(engine)] = std::move(fn);
-}
-
 Status LineageServer::Start() {
   if (running_.load()) return Status::FailedPrecondition("already started");
   if (options_.slow_request_ms >= 0 && slow_log_ == nullptr) {
@@ -258,17 +254,15 @@ void LineageServer::ReadLoop(std::shared_ptr<Connection> conn) {
     }
     if (!*frame) break;  // clean EOF
     // Version gate before anything else is parsed (wire.h contract): a
-    // frame in neither live version gets a typed UNSUPPORTED_VERSION,
-    // not a misparse. Every response is encoded in the version of the
-    // frame it answers, so a v1 client never sees v2 bytes.
+    // frame in any other version gets a typed UNSUPPORTED_VERSION, not a
+    // misparse.
     if (payload.empty() ||
-        !wire::IsSupportedWireVersion(static_cast<uint8_t>(payload[0]))) {
+        static_cast<uint8_t>(payload[0]) != wire::kWireVersion) {
       Counters().bad_frames->Increment();
       (void)conn->Write(
           wire::EncodeErrorResponse(
               SalvageRequestId(payload), wire::ErrorCode::kUnsupportedVersion,
-              "server speaks wire versions " +
-                  std::to_string(wire::kWireVersionLegacy) + ".." +
+              "server speaks wire version " +
                   std::to_string(wire::kWireVersion)),
           options_.max_frame_bytes);
       continue;
@@ -298,7 +292,6 @@ void LineageServer::ReadLoop(std::shared_ptr<Connection> conn) {
     pending.conn = conn;
     pending.envelope = std::move(*envelope);
     uint64_t request_id = pending.envelope.request_id;
-    uint8_t version = pending.envelope.version;
     if (!Submit(std::move(pending))) {
       // Admission control: full queue → typed shed, written from the
       // reader so the response is immediate and nothing is buffered.
@@ -307,8 +300,7 @@ void LineageServer::ReadLoop(std::shared_ptr<Connection> conn) {
           wire::EncodeErrorResponse(request_id, wire::ErrorCode::kOverloaded,
                                     "request queue full (" +
                                         std::to_string(options_.max_queue) +
-                                        " deep); retry later",
-                                    version),
+                                        " deep); retry later"),
           options_.max_frame_bytes);
     }
   }
@@ -323,8 +315,7 @@ void LineageServer::HandleStatsScrape(
     (void)conn->Write(
         wire::EncodeErrorResponse(SalvageRequestId(payload),
                                   wire::ErrorCode::kBadRequest,
-                                  request.status().ToString(),
-                                  wire::kWireVersion),
+                                  request.status().ToString()),
         options_.max_frame_bytes);
     return;
   }
@@ -396,8 +387,7 @@ void LineageServer::DispatchLoop() {
         (void)p.conn->Write(
             wire::EncodeErrorResponse(p.envelope.request_id,
                                       wire::ErrorCode::kOverloaded,
-                                      "server shutting down",
-                                      p.envelope.version),
+                                      "server shutting down"),
             options_.max_frame_bytes);
       }
       continue;
@@ -424,12 +414,13 @@ void LineageServer::ExecuteDrain(std::vector<Pending> drain) {
       (void)drain[i].conn->Write(
           wire::EncodeErrorResponse(env.request_id,
                                     wire::ErrorCode::kBadRequest,
-                                    "unknown engine '" + env.engine + "'",
-                                    env.version),
+                                    "unknown engine '" + env.engine + "'"),
           options_.max_frame_bytes);
       continue;
     }
-    batch.push_back({it->second, env.request});
+    // While the slow log is open every request records its EXPLAIN, so
+    // a logged record describes the execution that served it.
+    batch.push_back({it->second, env.request, slow_log_ != nullptr});
     batch_to_drain.push_back(i);
   }
   if (batch.empty()) return;
@@ -473,19 +464,14 @@ void LineageServer::ExecuteDrain(std::vector<Pending> drain) {
     WallTimer serialize_timer;
     if (r.status.ok()) {
       Counters().responses_ok->Increment();
-      if (p.envelope.version >= wire::kWireVersion) {
-        frame = wire::EncodeAnswerResponseV2(
-            p.envelope.request_id, r.answer,
-            p.envelope.want_timeline ? &timeline : nullptr);
-      } else {
-        frame = wire::EncodeAnswerResponse(p.envelope.request_id, r.answer);
-      }
+      frame = wire::EncodeAnswerResponseV2(
+          p.envelope.request_id, r.answer,
+          p.envelope.want_timeline ? &timeline : nullptr);
     } else {
       Counters().responses_error->Increment();
       frame = wire::EncodeErrorResponse(p.envelope.request_id,
                                         CodeForStatus(r.status),
-                                        r.status.ToString(),
-                                        p.envelope.version);
+                                        r.status.ToString());
     }
     const double serialize_ms = serialize_timer.ElapsedMillis();
     Counters().request_ms->Observe(p.admitted.ElapsedMillis());
@@ -509,21 +495,16 @@ void LineageServer::ExecuteDrain(std::vector<Pending> drain) {
       // the record now carries — the logged invariant is
       // queue + dispatch + execute + serialize + write <= total.
       timeline.total_ms = p.admitted.ElapsedMillis();
-      LogSlowRequest(p, timeline, r.status);
+      LogSlowRequest(p, timeline, r);
     }
   }
 }
 
 void LineageServer::LogSlowRequest(const Pending& pending,
                                    const wire::RequestTimeline& timeline,
-                                   const Status& status) {
+                                   const lineage::ServiceResponse& response) {
   const wire::RequestEnvelope& env = pending.envelope;
-  std::string explain = "null";
-  auto it = explainers_.find(env.engine);
-  if (it != explainers_.end() && it->second != nullptr) {
-    std::string payload = it->second(env.request);
-    if (!payload.empty()) explain = std::move(payload);
-  }
+  const Status& status = response.status;
   const double now_s = std::chrono::duration<double>(
                            std::chrono::system_clock::now().time_since_epoch())
                            .count();
@@ -557,7 +538,9 @@ void LineageServer::LogSlowRequest(const Pending& pending,
            ",\"rows\":" + std::to_string(s.rows) + "}";
   }
   rec += "]";
-  rec += ",\"explain\":" + explain;
+  rec += ",\"explain\":" + (status.ok() && response.explain.has_value()
+                                 ? response.explain->ToJson()
+                                 : std::string("null"));
   rec += "}";
   Status appended = slow_log_->Append(rec);
   if (appended.ok()) {

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -46,9 +45,9 @@ struct ServerOptions {
   /// Slow-request log threshold in milliseconds: a served request whose
   /// admission-to-encode total meets or exceeds it is appended to the
   /// structured JSON-lines log at `slow_log_path` (timeline, engine,
-  /// shard fan-out, probe counts, EXPLAIN payload — DESIGN.md §14).
-  /// Negative disables the log entirely; 0 logs every request (the
-  /// round-trip test mode).
+  /// shard fan-out, probe counts, and the EXPLAIN its own execution
+  /// recorded — DESIGN.md §14). Negative disables the log entirely; 0
+  /// logs every request (the round-trip test mode).
   double slow_request_ms = -1.0;
   std::string slow_log_path = "slow_requests.jsonl";
   /// Rotation bound for the slow-request log's live file.
@@ -100,23 +99,11 @@ class LineageServer {
   using EngineMap =
       std::map<std::string, const lineage::LineageEngine*, std::less<>>;
 
-  /// Produces the EXPLAIN payload (a JSON object as a string) for a
-  /// request against one engine — the same step costs the CLI's
-  /// `explain` command prints. Must be safe for calls concurrent with
-  /// Query() on the same engine. An empty string means "no explanation
-  /// available" and is logged as JSON null.
-  using ExplainFn = std::function<std::string(const lineage::LineageRequest&)>;
-
   LineageServer(EngineMap engines, ServerOptions options = {});
   /// Stops and joins if still running.
   ~LineageServer();
   LineageServer(const LineageServer&) = delete;
   LineageServer& operator=(const LineageServer&) = delete;
-
-  /// Registers the EXPLAIN producer for a wire engine name, used by the
-  /// slow-request log. Call before Start() — the map is read without a
-  /// lock once serving.
-  void SetExplainer(std::string engine, ExplainFn fn);
 
   /// Binds, listens, and spawns the accept + dispatch threads.
   Status Start();
@@ -177,18 +164,18 @@ class LineageServer {
   /// queue_mu_, so it can never go stale against queue_.size().
   void UpdateQueueDepthLocked() REQUIRES(queue_mu_);
   void ReapFinishedConnections() EXCLUDES(conns_mu_);
-  /// Appends one slow-request record (timeline + EXPLAIN payload).
+  /// Appends one slow-request record: the timeline, and the EXPLAIN
+  /// the request's own execution recorded (null from engines that keep
+  /// none, and for failed requests).
   void LogSlowRequest(const Pending& pending,
                       const lineage::wire::RequestTimeline& timeline,
-                      const Status& status);
+                      const lineage::ServiceResponse& response);
 
   EngineMap engines_;
   ServerOptions options_;
   lineage::LineageService service_;
-  /// Wire engine name → EXPLAIN producer (slow-request log). Written
-  /// before Start(), read-only while serving.
-  std::map<std::string, ExplainFn, std::less<>> explainers_;
   /// Non-null iff options_.slow_request_ms >= 0 and the log opened.
+  /// While it is, every request is marked for an EXPLAIN record.
   std::unique_ptr<SlowRequestLog> slow_log_;
 
   Socket listener_;

@@ -3,9 +3,9 @@
 // whether sealed by policy (--compress seal/always) or explicitly
 // (SealRun / SealAllRuns) — must return bindings identical to the
 // all-hot B+tree store, with the same logical probe counts and the
-// same EXPLAIN row counts per step, for both engines and both probe
-// execution modes. The suite sweeps the paper workloads (GK, PD,
-// synthetic) plus random workflows over shards ∈ {1, 4} and the three
+// same EXPLAIN row counts per step, for both engines and the
+// depth-first reference NI. The suite sweeps the paper workloads (GK,
+// PD, synthetic) plus random workflows over shards ∈ {1, 4} and the three
 // sealing shapes (policy-mixed hot/sealed, everything sealed,
 // explicitly sealed), and checks DeleteRun and image persistence
 // against sealed runs.
@@ -30,6 +30,7 @@
 #include "testbed/synthetic.h"
 #include "testbed/workbench.h"
 #include "tests/random_workflow.h"
+#include "tests/reference_ni.h"
 
 namespace provlin::lineage {
 namespace {
@@ -79,7 +80,7 @@ const Variant kVariants[] = {
 
 /// Asserts that `make` produces identical answers on the all-hot store
 /// and on every sealed variant: bindings and logical probe counts from
-/// both engines in both probe modes, multi-run answers, EXPLAIN row
+/// both engines and the reference NI, multi-run answers, EXPLAIN row
 /// counts, and the record totals themselves.
 void ExpectSealingIsPurelyPhysical(const Factory& make) {
   TraceStoreOptions base_options;
@@ -95,8 +96,7 @@ void ExpectSealingIsPurelyPhysical(const Factory& make) {
   auto base_runs = base.wb->store()->ListRuns();
   ASSERT_TRUE(base_runs.ok());
 
-  auto base_ip = IndexProjLineage::Create(base.wb->flow(), base.wb->store(),
-                                          ProbeExecution::kBatched);
+  auto base_ip = IndexProjLineage::Create(base.wb->flow(), base.wb->store());
   ASSERT_TRUE(base_ip.ok());
 
   for (const Variant& v : kVariants) {
@@ -143,29 +143,18 @@ void ExpectSealingIsPurelyPhysical(const Factory& make) {
     EXPECT_EQ(counts->xfer_rows, base_counts->xfer_rows) << v.name;
     EXPECT_EQ(counts->value_rows, base_counts->value_rows) << v.name;
 
-    // The property is per engine and per probe mode: the SAME engine on
-    // the sealed store answers exactly as on the all-hot store.
-    NaiveLineage ni_single(base.wb->store(), ProbeExecution::kSingleProbe);
-    NaiveLineage ni_batched(base.wb->store(), ProbeExecution::kBatched);
-    auto ip_single = IndexProjLineage::Create(
-        base.wb->flow(), base.wb->store(), ProbeExecution::kSingleProbe);
-    auto ip_batched = IndexProjLineage::Create(
-        base.wb->flow(), base.wb->store(), ProbeExecution::kBatched);
-    ASSERT_TRUE(ip_single.ok());
-    ASSERT_TRUE(ip_batched.ok());
-    NaiveLineage se_ni_single(store, ProbeExecution::kSingleProbe);
-    NaiveLineage se_ni_batched(store, ProbeExecution::kBatched);
-    auto se_ip_single = IndexProjLineage::Create(
-        sealed.wb->flow(), store, ProbeExecution::kSingleProbe);
-    auto se_ip_batched = IndexProjLineage::Create(
-        sealed.wb->flow(), store, ProbeExecution::kBatched);
-    ASSERT_TRUE(se_ip_single.ok());
-    ASSERT_TRUE(se_ip_batched.ok());
+    // The property is per engine: the SAME engine on the sealed store
+    // answers exactly as on the all-hot store, and NI on the sealed
+    // store exactly as the depth-first reference on the all-hot one.
+    oracle::ReferenceNaiveLineage reference(base.wb->store());
+    NaiveLineage ni(base.wb->store());
+    NaiveLineage se_ni(store);
+    auto se_ip = IndexProjLineage::Create(sealed.wb->flow(), store);
+    ASSERT_TRUE(se_ip.ok());
     const std::pair<const LineageEngine*, const LineageEngine*> pairs[] = {
-        {&ni_single, &se_ni_single},
-        {&ni_batched, &se_ni_batched},
-        {&*ip_single, &*se_ip_single},
-        {&*ip_batched, &*se_ip_batched},
+        {&reference, &se_ni},
+        {&ni, &se_ni},
+        {&*base_ip, &*se_ip},
     };
 
     for (const auto& [port, q] : base.queries) {
@@ -196,19 +185,23 @@ void ExpectSealingIsPurelyPhysical(const Factory& make) {
 
           // EXPLAIN against the sealed store mirrors the all-hot plan:
           // same steps, same logical row and binding counts.
-          auto base_ex = base_ip->Explain(req);
-          auto se_ex = se_ip_batched->Explain(req);
-          ASSERT_TRUE(base_ex.ok()) << tag();
-          ASSERT_TRUE(se_ex.ok()) << tag();
-          EXPECT_EQ(se_ex->answer.bindings, base_ex->answer.bindings);
-          ASSERT_EQ(se_ex->steps.size(), base_ex->steps.size()) << tag();
-          for (size_t s = 0; s < base_ex->steps.size(); ++s) {
-            EXPECT_EQ(se_ex->steps[s].rows, base_ex->steps[s].rows)
+          ExplainResult base_ex;
+          ExplainResult se_ex;
+          auto base_answer = base_ip->Explain(req, &base_ex);
+          auto se_answer = se_ip->Explain(req, &se_ex);
+          ASSERT_TRUE(base_answer.ok()) << tag();
+          ASSERT_TRUE(se_answer.ok()) << tag();
+          EXPECT_EQ(se_answer->bindings, base_answer->bindings);
+          EXPECT_EQ(se_ex.plan.trace_probes, base_ex.plan.trace_probes)
+              << tag();
+          ASSERT_EQ(se_ex.steps.size(), base_ex.steps.size()) << tag();
+          for (size_t s = 0; s < base_ex.steps.size(); ++s) {
+            EXPECT_EQ(se_ex.steps[s].rows, base_ex.steps[s].rows)
                 << tag() << " step " << s;
-            EXPECT_EQ(se_ex->steps[s].bindings, base_ex->steps[s].bindings)
+            EXPECT_EQ(se_ex.steps[s].bindings, base_ex.steps[s].bindings)
                 << tag() << " step " << s;
-            EXPECT_EQ(se_ex->steps[s].trace_probes,
-                      base_ex->steps[s].trace_probes)
+            EXPECT_EQ(se_ex.steps[s].trace_probes,
+                      base_ex.steps[s].trace_probes)
                 << tag() << " step " << s;
           }
         }

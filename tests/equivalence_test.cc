@@ -12,6 +12,7 @@
 #include "lineage/index_proj_lineage.h"
 #include "lineage/naive_lineage.h"
 #include "tests/random_workflow.h"
+#include "tests/reference_ni.h"
 #include "testbed/gk_workflow.h"
 #include "testbed/pd_workflow.h"
 #include "testbed/synthetic.h"
@@ -132,22 +133,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceTest,
                          ::testing::Range<uint64_t>(1, 81));
 
 // ---------------------------------------------------------------------------
-// Batched probe execution is purely physical: engines constructed in
-// kSingleProbe and kBatched mode must return byte-identical bindings and
-// issue the same logical probes; batching may only reduce descents.
+// Batched probe execution is purely physical: both engines must return
+// the bindings of the depth-first reference NI byte for byte. NI must
+// issue the oracle's logical probes (it expands the same nodes) and may
+// only save descents; IndexProj's logical probes must be exactly those
+// its EXPLAIN record attributes to the plan's steps.
 // ---------------------------------------------------------------------------
 
 void ExpectModesAgree(testbed::Workbench* wb, const std::string& run_id,
                       const std::vector<std::pair<PortRef, Index>>& queries,
                       const std::vector<InterestSet>& interests) {
-  NaiveLineage ni_single(wb->store(), ProbeExecution::kSingleProbe);
-  NaiveLineage ni_batched(wb->store(), ProbeExecution::kBatched);
-  auto ip_single = IndexProjLineage::Create(wb->flow(), wb->store(),
-                                            ProbeExecution::kSingleProbe);
-  auto ip_batched = IndexProjLineage::Create(wb->flow(), wb->store(),
-                                             ProbeExecution::kBatched);
-  ASSERT_TRUE(ip_single.ok());
-  ASSERT_TRUE(ip_batched.ok());
+  oracle::ReferenceNaiveLineage reference(wb->store());
+  NaiveLineage ni(wb->store());
+  auto ip = IndexProjLineage::Create(wb->flow(), wb->store());
+  ASSERT_TRUE(ip.ok());
 
   for (const auto& [port, q] : queries) {
     for (const InterestSet& interest : interests) {
@@ -158,30 +157,29 @@ void ExpectModesAgree(testbed::Workbench* wb, const std::string& run_id,
                std::to_string(interest.size());
       };
 
-      auto ns = ni_single.Query(req);
-      auto nb = ni_batched.Query(req);
-      ASSERT_TRUE(ns.ok()) << tag() << ": " << ns.status().ToString();
+      auto want = reference.Query(req);
+      auto nb = ni.Query(req);
+      ASSERT_TRUE(want.ok()) << tag() << ": " << want.status().ToString();
       ASSERT_TRUE(nb.ok()) << tag() << ": " << nb.status().ToString();
-      EXPECT_EQ(ns->bindings, nb->bindings) << "NI modes diverge at " << tag();
-      EXPECT_EQ(ns->timing.trace_probes, nb->timing.trace_probes)
+      EXPECT_EQ(nb->bindings, want->bindings) << "NI diverges at " << tag();
+      EXPECT_EQ(nb->timing.trace_probes, want->timing.trace_probes)
           << "NI logical probes changed at " << tag();
-      EXPECT_LE(nb->timing.trace_descents, ns->timing.trace_descents)
+      EXPECT_LE(nb->timing.trace_descents, want->timing.trace_descents)
           << "NI batching added descents at " << tag();
+      EXPECT_EQ(nb->timing.graph_steps, want->timing.graph_steps)
+          << "NI visited other nodes at " << tag();
 
-      auto is = ip_single->Query(req);
-      auto ib = ip_batched->Query(req);
-      ASSERT_TRUE(is.ok()) << tag() << ": " << is.status().ToString();
+      ExplainResult explained;
+      auto ib = ip->Explain(req, &explained);
       ASSERT_TRUE(ib.ok()) << tag() << ": " << ib.status().ToString();
-      EXPECT_EQ(is->bindings, ib->bindings)
-          << "IndexProj modes diverge at " << tag();
-      EXPECT_EQ(is->timing.trace_probes, ib->timing.trace_probes)
-          << "IndexProj logical probes changed at " << tag();
-      EXPECT_LE(ib->timing.trace_descents, is->timing.trace_descents)
-          << "IndexProj batching added descents at " << tag();
-
-      // Cross-check: all four answers agree.
-      EXPECT_EQ(nb->bindings, ib->bindings)
-          << "NI vs IndexProj diverge at " << tag();
+      EXPECT_EQ(ib->bindings, want->bindings)
+          << "IndexProj diverges at " << tag();
+      uint64_t step_probes = 0;
+      for (const ExplainStep& step : explained.steps) {
+        step_probes += step.trace_probes;
+      }
+      EXPECT_EQ(ib->timing.trace_probes, step_probes)
+          << "IndexProj logical probes differ from its plan's at " << tag();
     }
   }
 }

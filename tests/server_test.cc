@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -57,7 +56,7 @@ namespace wire = lineage::wire;
 /// network round-trip byte-for-byte.
 std::string AnswerBytes(LineageAnswer answer) {
   answer.timing = lineage::LineageTiming{};
-  return wire::EncodeAnswerResponse(0, answer);
+  return wire::EncodeAnswerResponseV2(0, answer, nullptr);
 }
 
 /// A served workbench: runs executed, both engines registered, server
@@ -70,8 +69,7 @@ struct Served {
   ServerStats before;
 };
 
-Served StartSynthetic(size_t shards, ServerOptions options = {},
-                      const std::function<void(Served&)>& before_start = {}) {
+Served StartSynthetic(size_t shards, ServerOptions options = {}) {
   Served s;
   TraceStoreOptions store_options;
   store_options.shards = shards;
@@ -87,9 +85,6 @@ Served StartSynthetic(size_t shards, ServerOptions options = {},
   engines["naive"] = s.wb->Engine("naive");
   engines["indexproj"] = s.wb->Engine("indexproj");
   s.server = std::make_unique<LineageServer>(std::move(engines), options);
-  // Pre-Start configuration (e.g. SetExplainer, which must not be
-  // called once the server is serving).
-  if (before_start) before_start(s);
   EXPECT_TRUE(s.server->Start().ok());
   s.before = s.server->stats();
   return s;
@@ -284,26 +279,29 @@ TEST(ServerTest, WrongVersionFrameGetsTypedError) {
   auto socket = TcpConnect("127.0.0.1", s.server->port());
   ASSERT_TRUE(socket.ok());
 
-  // A frame whose payload leads with an unknown version byte. The id
-  // field is at the same offset in every version, so the server can
-  // still echo it in the error.
+  // Frames leading with a version byte the server does not speak: the
+  // retired v1 and an unknown one. The id field is at the same offset
+  // in every version, so the server can still echo it in the error.
   wire::RequestEnvelope envelope;
   envelope.request_id = 77;
   envelope.engine = "naive";
-  std::string payload = wire::EncodeRequestEnvelope(envelope);
-  payload[0] = 9;
-  ASSERT_TRUE(WriteFrame(*socket, payload).ok());
+  for (uint8_t version : {uint8_t{1}, uint8_t{9}}) {
+    std::string payload = wire::EncodeRequestEnvelope(envelope);
+    payload[0] = static_cast<char>(version);
+    ASSERT_TRUE(WriteFrame(*socket, payload).ok());
 
-  std::string response_payload;
-  auto got = ReadFrame(*socket, &response_payload);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_TRUE(*got);
-  auto response = wire::DecodeResponseEnvelope(response_payload);
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_FALSE(response->ok);
-  EXPECT_EQ(response->code, wire::ErrorCode::kUnsupportedVersion);
-  EXPECT_EQ(response->request_id, 77u);
-  EXPECT_EQ(s.server->stats().bad_frames - s.before.bad_frames, 1u);
+    std::string response_payload;
+    auto got = ReadFrame(*socket, &response_payload);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(*got);
+    auto response = wire::DecodeResponseEnvelope(response_payload);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_FALSE(response->ok);
+    EXPECT_EQ(response->code, wire::ErrorCode::kUnsupportedVersion)
+        << int{version};
+    EXPECT_EQ(response->request_id, 77u);
+  }
+  EXPECT_EQ(s.server->stats().bad_frames - s.before.bad_frames, 2u);
   s.server->Stop();
 }
 
@@ -362,24 +360,21 @@ TEST(ServerTest, TimelineAttachedOnlyWhenRequested) {
   LineageRequest req = LineageRequest::SingleRun(
       "r1", {kWorkflowProcessor, "RESULT"}, Index({1}));
 
-  // v1 call: the answer must be byte-identical to the legacy shape —
-  // no timeline, version 1, same bindings as in-process.
-  auto v1 = client->Call("indexproj", req);
-  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-  ASSERT_TRUE(v1->ok) << v1->message;
-  EXPECT_EQ(v1->version, wire::kWireVersionLegacy);
-  EXPECT_FALSE(v1->has_timeline);
+  // A call that does not ask for the timeline gets none.
+  auto plain = client->Call("indexproj", req);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_TRUE(plain->ok) << plain->message;
+  EXPECT_FALSE(plain->has_timeline);
 
-  // v2 call asking for the timeline: same answer, plus the phase
-  // decomposition with its invariants.
-  auto v2 = client->Call("indexproj", req, /*want_timeline=*/true);
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  ASSERT_TRUE(v2->ok) << v2->message;
-  EXPECT_EQ(v2->version, wire::kWireVersion);
-  ASSERT_TRUE(v2->has_timeline);
-  EXPECT_EQ(AnswerBytes(v2->answer), AnswerBytes(v1->answer));
+  // Asking for the timeline: same answer, plus the phase decomposition
+  // with its invariants.
+  auto timed = client->Call("indexproj", req, /*want_timeline=*/true);
+  ASSERT_TRUE(timed.ok()) << timed.status().ToString();
+  ASSERT_TRUE(timed->ok) << timed->message;
+  ASSERT_TRUE(timed->has_timeline);
+  EXPECT_EQ(AnswerBytes(timed->answer), AnswerBytes(plain->answer));
 
-  const wire::RequestTimeline& tl = v2->timeline;
+  const wire::RequestTimeline& tl = timed->timeline;
   EXPECT_GE(tl.queue_ms, 0.0);
   EXPECT_GE(tl.dispatch_ms, 0.0);
   EXPECT_GT(tl.total_ms, 0.0);
@@ -587,21 +582,8 @@ TEST(ServerTest, SlowLogRecordsEveryRequestAtThresholdZero) {
   ServerOptions options;
   options.slow_request_ms = 0.0;  // log every served request
   options.slow_log_path = log_path;
-
-  // The EXPLAIN payload in the log is produced exactly like the CLI's
-  // `explain` output (ExplainResult::ToJson over the same engine).
-  Served s = StartSynthetic(1, options, [](Served& served) {
-    lineage::IndexProjLineage* engine = served.wb->IndexProj();
-    provenance::TraceStore* store = served.wb->store();
-    served.server->SetExplainer(
-        "indexproj", [engine, store](const LineageRequest& request) {
-          auto explained = engine->Explain(request);
-          if (!explained.ok()) return std::string();
-          return explained->ToJson(*store);
-        });
-  });
+  Served s = StartSynthetic(1, options);
   lineage::IndexProjLineage* engine = s.wb->IndexProj();
-  provenance::TraceStore* store = s.wb->store();
 
   auto client = LineageClient::Connect("127.0.0.1", s.server->port());
   ASSERT_TRUE(client.ok());
@@ -634,28 +616,81 @@ TEST(ServerTest, SlowLogRecordsEveryRequestAtThresholdZero) {
   EXPECT_NE(rec.find("\"serialize_ms\":"), std::string::npos);
   EXPECT_NE(rec.find("\"write_ms\":"), std::string::npos);
   EXPECT_NE(rec.find("\"shards\":["), std::string::npos);
-  auto explained = engine->Explain(req);
-  ASSERT_TRUE(explained.ok());
-  std::string explain_json = explained->ToJson(*store);
+  lineage::ExplainResult explained;
+  ASSERT_TRUE(engine->Explain(req, &explained).ok());
   // Wall-times differ run to run; the plan identity (every generated
   // trace query, in order) must match the CLI's exactly.
-  for (const lineage::ExplainStep& step : explained->steps) {
-    std::string quoted;
-    {
-      std::string raw = step.query.ToString(*store);
-      quoted.reserve(raw.size());
-      for (char ch : raw) {
-        if (ch == '"' || ch == '\\') quoted += '\\';
-        quoted += ch;
-      }
-    }
-    EXPECT_NE(rec.find(quoted), std::string::npos)
-        << "slow-log EXPLAIN lacks step " << step.query.ToString(*store);
-  }
+  EXPECT_NE(rec.find(explained.ToJson().substr(
+                explained.ToJson().find("\"steps\":"))),
+            std::string::npos)
+      << rec;
   EXPECT_NE(rec.find("\"plan_cache_hit\":"), std::string::npos);
-  // Second record: naive engine has no registered explainer → null.
+  // Second record: the naive engine keeps no EXPLAIN record → null.
   EXPECT_NE(lines[1].find("\"engine\":\"naive\""), std::string::npos);
   EXPECT_NE(lines[1].find("\"explain\":null"), std::string::npos);
+  std::remove(log_path.c_str());
+  std::remove((log_path + ".1").c_str());
+}
+
+/// The unsigned number after the first `"key":` at or after `from`.
+uint64_t JsonUintAfter(const std::string& json, size_t from,
+                       const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  size_t at = json.find(needle, from);
+  EXPECT_NE(at, std::string::npos) << key << " missing in " << json;
+  if (at == std::string::npos) return 0;
+  return std::stoull(json.substr(at + needle.size()));
+}
+
+TEST(ServerTest, SlowLogExplainsTheExecutionThatServedTheRequest) {
+  std::string log_path = ::testing::TempDir() + "/slow_explain_test.jsonl";
+  std::remove(log_path.c_str());
+  std::remove((log_path + ".1").c_str());
+  ServerOptions options;
+  options.slow_request_ms = 0.0;
+  options.slow_log_path = log_path;
+  // A fresh engine: the first request on this plan key builds the plan.
+  Served s = StartSynthetic(1, options);
+  common::metrics::MetricsSnapshot before =
+      common::metrics::MetricsRegistry::Global().Snapshot();
+
+  auto client = LineageClient::Connect("127.0.0.1", s.server->port());
+  ASSERT_TRUE(client.ok());
+  // Unfocused (interest {}): every processor is interesting, so the
+  // plan has many steps sharing one batch.
+  LineageRequest req = LineageRequest::SingleRun(
+      "r0", {kWorkflowProcessor, "RESULT"}, Index({1}), {});
+  auto served = client->Call("indexproj", req, /*want_timeline=*/true);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_TRUE(served->ok) << served->message;
+  ASSERT_TRUE(served->has_timeline);
+  s.server->Stop();
+
+  // One execution per request: logging it does not run it again.
+  common::metrics::MetricsSnapshot after =
+      common::metrics::MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(
+      after.counter("lineage/queries") - before.counter("lineage/queries"),
+      after.counter("service/requests") - before.counter("service/requests"));
+
+  std::ifstream in(log_path);
+  ASSERT_TRUE(in.is_open());
+  std::string rec;
+  ASSERT_TRUE(static_cast<bool>(std::getline(in, rec)));
+  const size_t explain_at = rec.find("\"explain\":{");
+  ASSERT_NE(explain_at, std::string::npos) << rec;
+  // The record is the served execution's: it built the plan, as the
+  // answer says, and its plan-level probes and descents are the ones
+  // the wire timeline reported.
+  EXPECT_FALSE(served->answer.timing.plan_cache_hit);
+  EXPECT_NE(rec.find("\"plan_cache_hit\":false", explain_at),
+            std::string::npos)
+      << rec;
+  EXPECT_EQ(JsonUintAfter(rec, explain_at, "trace_probes"),
+            served->timeline.trace_probes);
+  EXPECT_EQ(JsonUintAfter(rec, explain_at, "trace_descents"),
+            served->timeline.trace_descents);
+  EXPECT_GT(served->timeline.trace_probes, 0u);
   std::remove(log_path.c_str());
   std::remove((log_path + ".1").c_str());
 }

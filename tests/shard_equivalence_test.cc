@@ -1,11 +1,11 @@
 // Run sharding is purely physical (DESIGN.md §11): a TraceStore opened
 // with N > 1 shards must answer every lineage query with bindings
-// identical to the unsharded store — for both engines, both probe
-// execution modes, single- and multi-run requests — and EXPLAIN must
-// report the same logical row counts per step. The suite sweeps the
-// paper workloads (GK, PD, synthetic) plus random workflows over
-// N ∈ {1, 2, 4, 7}, and TSan-stresses concurrent ingest-while-querying
-// on a sharded store with async writer threads.
+// identical to the unsharded store — for both engines and the
+// depth-first reference NI, single- and multi-run requests — and
+// EXPLAIN must report the same logical row counts per step. The suite
+// sweeps the paper workloads (GK, PD, synthetic) plus random workflows
+// over N ∈ {1, 2, 4, 7}, and TSan-stresses concurrent
+// ingest-while-querying on a sharded store with async writer threads.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +24,7 @@
 #include "lineage/naive_lineage.h"
 #include "provenance/trace_store.h"
 #include "tests/random_workflow.h"
+#include "tests/reference_ni.h"
 #include "testbed/gk_workflow.h"
 #include "testbed/pd_workflow.h"
 #include "testbed/synthetic.h"
@@ -56,7 +57,7 @@ const size_t kShardCounts[] = {2, 4, 7};
 
 /// Asserts that `make` produces identical answers at 1 shard and at
 /// every count in kShardCounts: bindings and logical probe counts from
-/// both engines in both probe modes, multi-run answers, EXPLAIN row
+/// both engines and the reference NI, multi-run answers, EXPLAIN row
 /// counts, and the record totals themselves.
 void ExpectShardingIsPurelyPhysical(const Factory& make) {
   TraceStoreOptions base_options;
@@ -70,8 +71,7 @@ void ExpectShardingIsPurelyPhysical(const Factory& make) {
   auto base_runs = base.wb->store()->ListRuns();
   ASSERT_TRUE(base_runs.ok());
 
-  auto base_ip = IndexProjLineage::Create(base.wb->flow(), base.wb->store(),
-                                          ProbeExecution::kBatched);
+  auto base_ip = IndexProjLineage::Create(base.wb->flow(), base.wb->store());
   ASSERT_TRUE(base_ip.ok());
 
   for (size_t nshards : kShardCounts) {
@@ -100,30 +100,19 @@ void ExpectShardingIsPurelyPhysical(const Factory& make) {
                 provenance::RunShardHash(run) % nshards);
     }
 
-    // The property is per engine and per probe mode: the SAME engine on
-    // the sharded store answers exactly as on the unsharded store.
+    // The property is per engine: the SAME engine on the sharded store
+    // answers exactly as on the unsharded store, and NI on the sharded
+    // store exactly as the depth-first reference on the unsharded one.
     // (NI-vs-IndexProj equivalence is the main suite's concern.)
-    NaiveLineage ni_single(base.wb->store(), ProbeExecution::kSingleProbe);
-    NaiveLineage ni_batched(base.wb->store(), ProbeExecution::kBatched);
-    auto ip_single = IndexProjLineage::Create(
-        base.wb->flow(), base.wb->store(), ProbeExecution::kSingleProbe);
-    auto ip_batched = IndexProjLineage::Create(
-        base.wb->flow(), base.wb->store(), ProbeExecution::kBatched);
-    ASSERT_TRUE(ip_single.ok());
-    ASSERT_TRUE(ip_batched.ok());
-    NaiveLineage sh_ni_single(store, ProbeExecution::kSingleProbe);
-    NaiveLineage sh_ni_batched(store, ProbeExecution::kBatched);
-    auto sh_ip_batched = IndexProjLineage::Create(
-        sharded.wb->flow(), store, ProbeExecution::kBatched);
-    auto sh_ip_single = IndexProjLineage::Create(
-        sharded.wb->flow(), store, ProbeExecution::kSingleProbe);
-    ASSERT_TRUE(sh_ip_batched.ok());
-    ASSERT_TRUE(sh_ip_single.ok());
+    oracle::ReferenceNaiveLineage reference(base.wb->store());
+    NaiveLineage ni(base.wb->store());
+    NaiveLineage sh_ni(store);
+    auto sh_ip = IndexProjLineage::Create(sharded.wb->flow(), store);
+    ASSERT_TRUE(sh_ip.ok());
     const std::pair<const LineageEngine*, const LineageEngine*> pairs[] = {
-        {&ni_single, &sh_ni_single},
-        {&ni_batched, &sh_ni_batched},
-        {&*ip_single, &*sh_ip_single},
-        {&*ip_batched, &*sh_ip_batched},
+        {&reference, &sh_ni},
+        {&ni, &sh_ni},
+        {&*base_ip, &*sh_ip},
     };
 
     for (const auto& [port, q] : base.queries) {
@@ -155,19 +144,23 @@ void ExpectShardingIsPurelyPhysical(const Factory& make) {
 
           // EXPLAIN against the sharded store mirrors the unsharded
           // plan: same steps, same logical row and binding counts.
-          auto base_ex = base_ip->Explain(req);
-          auto sh_ex = sh_ip_batched->Explain(req);
-          ASSERT_TRUE(base_ex.ok()) << tag();
-          ASSERT_TRUE(sh_ex.ok()) << tag();
-          EXPECT_EQ(sh_ex->answer.bindings, base_ex->answer.bindings);
-          ASSERT_EQ(sh_ex->steps.size(), base_ex->steps.size()) << tag();
-          for (size_t s = 0; s < base_ex->steps.size(); ++s) {
-            EXPECT_EQ(sh_ex->steps[s].rows, base_ex->steps[s].rows)
+          ExplainResult base_ex;
+          ExplainResult sh_ex;
+          auto base_answer = base_ip->Explain(req, &base_ex);
+          auto sh_answer = sh_ip->Explain(req, &sh_ex);
+          ASSERT_TRUE(base_answer.ok()) << tag();
+          ASSERT_TRUE(sh_answer.ok()) << tag();
+          EXPECT_EQ(sh_answer->bindings, base_answer->bindings);
+          EXPECT_EQ(sh_ex.plan.trace_probes, base_ex.plan.trace_probes)
+              << tag();
+          ASSERT_EQ(sh_ex.steps.size(), base_ex.steps.size()) << tag();
+          for (size_t s = 0; s < base_ex.steps.size(); ++s) {
+            EXPECT_EQ(sh_ex.steps[s].rows, base_ex.steps[s].rows)
                 << tag() << " step " << s;
-            EXPECT_EQ(sh_ex->steps[s].bindings, base_ex->steps[s].bindings)
+            EXPECT_EQ(sh_ex.steps[s].bindings, base_ex.steps[s].bindings)
                 << tag() << " step " << s;
-            EXPECT_EQ(sh_ex->steps[s].trace_probes,
-                      base_ex->steps[s].trace_probes)
+            EXPECT_EQ(sh_ex.steps[s].trace_probes,
+                      base_ex.steps[s].trace_probes)
                 << tag() << " step " << s;
           }
         }
@@ -388,7 +381,7 @@ TEST(ShardConcurrency, IngestWhileQueryingKeepsAnswersStable) {
   LineageRequest req = LineageRequest::SingleRun(
       "stable", {kWorkflowProcessor, "RESULT"}, Index({1, 2}),
       {testbed::kListGen});
-  NaiveLineage naive(wb->store(), ProbeExecution::kBatched);
+  NaiveLineage naive(wb->store());
   auto expected = naive.Query(req);
   ASSERT_TRUE(expected.ok());
   ASSERT_FALSE(expected->bindings.empty());

@@ -107,17 +107,39 @@ TEST(Wal, ReplayMissingFileFails) {
   EXPECT_FALSE(WriteAheadLog::Replay(TempPath("wal_missing.log")).ok());
 }
 
+/// Base + every per-shard file + manifest for a fresh test.
+std::string TempWalBase(const char* name, size_t max_shards = 8) {
+  std::string base = TempPath(name);
+  for (size_t k = 1; k < max_shards; ++k) {
+    std::remove(ShardWalPath(base, k).c_str());
+  }
+  std::remove(WalManifestPath(base).c_str());
+  return base;
+}
+
+size_t FileSize(const std::string& path) {
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
+  return f.good() ? static_cast<size_t>(f.tellg()) : 0;
+}
+
+/// A one-shard store, so AttachWalFiles(base) writes the single log
+/// file at `base` itself.
+provenance::TraceStoreOptions OneShard() {
+  provenance::TraceStoreOptions options;
+  options.shards = 1;
+  return options;
+}
+
 TEST(WalDurability, CrashedCaptureSessionIsRecoverable) {
-  std::string path = TempPath("wal_capture.log");
+  std::string path = TempWalBase("wal_capture.log");
 
   // Capture a synthetic run with the WAL attached, then "crash": throw
   // the in-memory database away and rebuild everything from the log.
   {
-    auto wb = std::move(*testbed::Workbench::Synthetic(3));
-    auto wal = *WriteAheadLog::Open(path);
-    wb->store()->AttachWal(&wal);
+    auto wb = std::move(*testbed::Workbench::Synthetic(3, OneShard()));
+    ASSERT_TRUE(wb->store()->AttachWalFiles(path).ok());
     ASSERT_TRUE(wb->RunSynthetic(4, "r0").ok());
-    EXPECT_GT(wal.records_appended(), 0u);
+    EXPECT_GT(FileSize(path), 0u);
   }  // workbench (and its database) destroyed here
 
   Database recovered;
@@ -145,11 +167,10 @@ TEST(WalDurability, CrashedCaptureSessionIsRecoverable) {
 }
 
 TEST(WalDurability, TornCaptureKeepsCommittedPrefix) {
-  std::string path = TempPath("wal_capture_torn.log");
+  std::string path = TempWalBase("wal_capture_torn.log");
   {
-    auto wb = std::move(*testbed::Workbench::Synthetic(2));
-    auto wal = *WriteAheadLog::Open(path);
-    wb->store()->AttachWal(&wal);
+    auto wb = std::move(*testbed::Workbench::Synthetic(2, OneShard()));
+    ASSERT_TRUE(wb->store()->AttachWalFiles(path).ok());
     ASSERT_TRUE(wb->RunSynthetic(3, "r0").ok());
   }
   // Tear the file mid-way.
@@ -176,21 +197,6 @@ TEST(WalDurability, TornCaptureKeepsCommittedPrefix) {
 // replay-merge, DeleteRun replay-skip confined to the owning shard's
 // log, and recovery after a real SIGKILL mid-ingest.
 // ---------------------------------------------------------------------------
-
-/// Base + every per-shard file + manifest for a fresh test.
-std::string TempWalBase(const char* name, size_t max_shards = 8) {
-  std::string base = TempPath(name);
-  for (size_t k = 1; k < max_shards; ++k) {
-    std::remove(ShardWalPath(base, k).c_str());
-  }
-  std::remove(WalManifestPath(base).c_str());
-  return base;
-}
-
-size_t FileSize(const std::string& path) {
-  std::ifstream f(path, std::ios::binary | std::ios::ate);
-  return f.good() ? static_cast<size_t>(f.tellg()) : 0;
-}
 
 TEST(ShardedWal, PerShardFilesReplayIntoOneDatabase) {
   std::string base = TempWalBase("wal_sharded.log");

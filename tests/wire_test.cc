@@ -78,7 +78,7 @@ TEST(WireTest, EmptyRequestRoundTrip) {
 
 TEST(WireTest, AnswerResponseRoundTrip) {
   LineageAnswer answer = MakeAnswer();
-  std::string payload = EncodeAnswerResponse(7, answer);
+  std::string payload = EncodeAnswerResponseV2(7, answer, nullptr);
   auto decoded = DecodeResponseEnvelope(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->request_id, 7u);
@@ -134,11 +134,14 @@ TEST(WireTest, RejectsWrongVersion) {
   RequestEnvelope envelope;
   envelope.engine = "naive";
   std::string payload = EncodeRequestEnvelope(envelope);
-  payload[0] = 3;  // future version (both 1 and 2 are live)
-  auto decoded = DecodeRequestEnvelope(payload);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_TRUE(decoded.status().IsInvalidArgument());
-  EXPECT_NE(decoded.status().ToString().find("version"), std::string::npos);
+  // The retired v1 and a future version are both unsupported.
+  for (uint8_t version : {uint8_t{1}, uint8_t{3}}) {
+    payload[0] = static_cast<char>(version);
+    auto decoded = DecodeRequestEnvelope(payload);
+    ASSERT_FALSE(decoded.ok()) << int{version};
+    EXPECT_TRUE(decoded.status().IsInvalidArgument());
+    EXPECT_NE(decoded.status().ToString().find("version"), std::string::npos);
+  }
 }
 
 RequestTimeline MakeTimeline() {
@@ -161,31 +164,29 @@ TEST(WireTest, V2RequestRoundTripCarriesTimelineFlag) {
   envelope.request_id = 77;
   envelope.engine = "indexproj";
   envelope.request = MakeRequest();
-  envelope.version = kWireVersion;
   envelope.want_timeline = true;
   std::string payload = EncodeRequestEnvelope(envelope);
   EXPECT_EQ(static_cast<uint8_t>(payload[0]), kWireVersion);
   auto decoded = DecodeRequestEnvelope(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->version, kWireVersion);
   EXPECT_TRUE(decoded->want_timeline);
   EXPECT_EQ(decoded->request.runs, envelope.request.runs);
-  // A v1 frame of the same envelope is byte-identical to the legacy
-  // codec: the version upgrade costs old peers nothing.
-  envelope.version = kWireVersionLegacy;
+  // Without the flag the frame differs only in the flags byte, right
+  // after the 10-byte header.
   envelope.want_timeline = false;
-  EXPECT_EQ(EncodeRequestEnvelope(envelope),
-            EncodeRequestEnvelope(RequestEnvelope{77, "indexproj",
-                                                  MakeRequest()}));
+  std::string plain = EncodeRequestEnvelope(envelope);
+  ASSERT_EQ(plain.size(), payload.size());
+  EXPECT_EQ(plain[10], 0);
+  plain[10] = static_cast<char>(kRequestFlagWantTimeline);
+  EXPECT_EQ(plain, payload);
 }
 
 TEST(WireTest, V2RequestRejectsUnknownFlagBits) {
   RequestEnvelope envelope;
   envelope.engine = "naive";
-  envelope.version = kWireVersion;
   envelope.want_timeline = true;
   std::string payload = EncodeRequestEnvelope(envelope);
-  // The flags byte sits right after the 10-byte header in a v2 frame.
+  // The flags byte sits right after the 10-byte header.
   payload[10] = static_cast<char>(kKnownRequestFlags | 0x80);
   auto decoded = DecodeRequestEnvelope(payload);
   ASSERT_FALSE(decoded.ok());
@@ -200,7 +201,6 @@ TEST(WireTest, TimelineRoundTripOnV2Answer) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->request_id, 21u);
   EXPECT_TRUE(decoded->ok);
-  EXPECT_EQ(decoded->version, kWireVersion);
   ASSERT_TRUE(decoded->has_timeline);
   EXPECT_EQ(decoded->timeline, timeline);
   ASSERT_EQ(decoded->timeline.shards.size(), 2u);
@@ -212,7 +212,6 @@ TEST(WireTest, V2AnswerWithoutTimeline) {
   auto decoded = DecodeResponseEnvelope(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(decoded->ok);
-  EXPECT_EQ(decoded->version, kWireVersion);
   EXPECT_FALSE(decoded->has_timeline);
 }
 
@@ -223,12 +222,11 @@ TEST(WireTest, V2AnswerRejectsBadTimelineMarker) {
 }
 
 TEST(WireTest, V2ErrorResponseRoundTrip) {
-  std::string payload = EncodeErrorResponse(
-      24, ErrorCode::kOverloaded, "queue full", kWireVersion);
+  std::string payload =
+      EncodeErrorResponse(24, ErrorCode::kOverloaded, "queue full");
   auto decoded = DecodeResponseEnvelope(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_FALSE(decoded->ok);
-  EXPECT_EQ(decoded->version, kWireVersion);
   EXPECT_EQ(decoded->code, ErrorCode::kOverloaded);
   EXPECT_EQ(decoded->message, "queue full");
 }
@@ -307,7 +305,7 @@ TEST(WireTest, TimelineRejectsTruncationAtEveryLength) {
 
 TEST(WireTest, RejectsWrongMessageType) {
   // An answer payload is not a request envelope and vice versa.
-  std::string answer = EncodeAnswerResponse(1, MakeAnswer());
+  std::string answer = EncodeAnswerResponseV2(1, MakeAnswer(), nullptr);
   EXPECT_FALSE(DecodeRequestEnvelope(answer).ok());
   std::string request = EncodeRequestEnvelope(RequestEnvelope{});
   EXPECT_FALSE(DecodeResponseEnvelope(request).ok());
@@ -323,7 +321,7 @@ TEST(WireTest, RejectsTruncationAtEveryLength) {
     auto decoded = DecodeRequestEnvelope(payload.substr(0, len));
     EXPECT_FALSE(decoded.ok()) << "prefix of " << len << " bytes decoded";
   }
-  std::string response = EncodeAnswerResponse(5, MakeAnswer());
+  std::string response = EncodeAnswerResponseV2(5, MakeAnswer(), nullptr);
   for (size_t len = 0; len < response.size(); ++len) {
     auto decoded = DecodeResponseEnvelope(response.substr(0, len));
     EXPECT_FALSE(decoded.ok()) << "prefix of " << len << " bytes decoded";
@@ -338,12 +336,13 @@ TEST(WireTest, RejectsTrailingGarbage) {
 }
 
 TEST(WireTest, RejectsForgedElementCounts) {
-  // A 13-byte payload claiming 2^32-1 runs must be rejected from the
+  // A short payload claiming 2^32-1 runs must be rejected from the
   // length check, not by attempting a four-billion-iteration loop.
   storage::BinaryWriter w;
-  w.WriteU8(kWireVersionLegacy);
+  w.WriteU8(kWireVersion);
   w.WriteU8(static_cast<uint8_t>(MessageType::kRequest));
   w.WriteU64(1);
+  w.WriteU8(0);  // flags
   w.WriteString("naive");
   w.WriteU32(0xFFFFFFFFu);  // runs count, no runs follow
   auto decoded = DecodeRequestEnvelope(w.buffer());
@@ -362,7 +361,6 @@ TEST(WireTest, FuzzedPayloadsNeverCrash) {
   v2_envelope.request_id = 45;
   v2_envelope.engine = "naive";
   v2_envelope.request = MakeRequest();
-  v2_envelope.version = kWireVersion;
   v2_envelope.want_timeline = true;
   RequestTimeline timeline = MakeTimeline();
   StatsResponse stats_response;
@@ -373,7 +371,7 @@ TEST(WireTest, FuzzedPayloadsNeverCrash) {
   const std::string seeds[] = {
       EncodeRequestEnvelope(
           {42, "indexproj", MakeRequest()}),
-      EncodeAnswerResponse(43, MakeAnswer()),
+      EncodeAnswerResponseV2(43, MakeAnswer(), nullptr),
       EncodeErrorResponse(44, ErrorCode::kOverloaded, "queue full"),
       EncodeRequestEnvelope(v2_envelope),
       EncodeAnswerResponseV2(45, MakeAnswer(), &timeline),
@@ -421,13 +419,13 @@ TEST(WireTest, CanonicalReencode) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(EncodeRequestEnvelope(*decoded), payload);
 
-  std::string response = EncodeAnswerResponse(10, MakeAnswer());
+  std::string response = EncodeAnswerResponseV2(10, MakeAnswer(), nullptr);
   auto decoded_response = DecodeResponseEnvelope(response);
   ASSERT_TRUE(decoded_response.ok());
-  EXPECT_EQ(EncodeAnswerResponse(10, decoded_response->answer), response);
+  EXPECT_EQ(EncodeAnswerResponseV2(10, decoded_response->answer, nullptr),
+            response);
 
-  // v2 frames re-encode canonically too, timeline included.
-  envelope.version = kWireVersion;
+  // The flag and the timeline trailer re-encode canonically too.
   envelope.want_timeline = true;
   std::string v2_payload = EncodeRequestEnvelope(envelope);
   auto v2_decoded = DecodeRequestEnvelope(v2_payload);

@@ -18,7 +18,7 @@
 //           [--engine naive|indexproj|mix] [--timelines true]
 //           [--run r0]* [--target P:X]* [--index 1,2]* [--focus P]*
 //
-// --timelines true sends wire-v2 requests asking the server to attach
+// --timelines true sets the want-timeline flag, asking the server to attach
 // its per-phase RequestTimeline to every answer; the phases aggregate
 // into loadgen/timeline_* histograms and a "timeline" block (per-phase
 // mean/p50/p95/p99) in BENCH_served.json.
