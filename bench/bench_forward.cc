@@ -3,8 +3,13 @@
 // Fig. 9. The spec-graph forward engine composes index patterns once;
 // the naive engine walks the trace per element, so its probe count grows
 // with both l and d.
+//
+// Writes BENCH_forward.json: per l, both engines' probes and descents
+// (deterministic — one thread, a fixed workload — so CI checks them
+// against bench/baselines/BENCH_forward.json).
 
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "lineage/forward_lineage.h"
@@ -21,6 +26,7 @@ int main() {
 
   bench::TablePrinter table({"l", "naive_ms", "fwdproj_ms", "naive_probes",
                              "fwdproj_probes", "bindings"});
+  bench::JsonWriter json("forward");
   for (int l : {10, 28, 50, 75, 100}) {
     auto wb = CheckResult(testbed::Workbench::Synthetic(l), "workbench");
     CheckResult(wb->RunSynthetic(25, "r0"), "run");
@@ -61,7 +67,13 @@ int main() {
                   bench::Num(ni_answer.timing.trace_probes),
                   bench::Num(ip_answer.timing.trace_probes),
                   bench::Num(ip_answer.bindings.size())});
+    const std::string cfg = "l" + std::to_string(l);
+    json.Add(cfg + "_naive", ni, ni_answer.timing.trace_probes,
+             ni_answer.timing.trace_descents);
+    json.Add(cfg + "_fwdproj", ip, ip_answer.timing.trace_probes,
+             ip_answer.timing.trace_descents);
   }
   table.Print();
+  json.Write();
   return 0;
 }

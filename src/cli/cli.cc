@@ -365,16 +365,6 @@ Status CmdLineage(const Args& args, std::ostream& out) {
   bool explain = args.Get("explain") != nullptr &&
                  *args.Get("explain") != "false";
 
-  double slow_query_ms = 0.0;
-  if (const std::string* slow = args.Get("slow-query-ms")) {
-    int64_t n = 0;
-    if (!ParseInt64(*slow, &n) || n < 0) {
-      return Status::InvalidArgument("bad --slow-query-ms value '" + *slow +
-                                     "'");
-    }
-    slow_query_ms = static_cast<double>(n);
-  }
-
   // Span capture covers plan build and query execution; Finish() below
   // writes the trace file before the summary lines (and any --stats
   // exposition) print, so output formatting stays out of the trace.
@@ -438,7 +428,6 @@ Status CmdLineage(const Args& args, std::ostream& out) {
       }
       lineage::ServiceOptions options;
       options.num_threads = static_cast<size_t>(n);
-      options.slow_query_ms = slow_query_ms;
       lineage::LineageService service(options);
       std::vector<lineage::ServiceRequest> requests;
       requests.reserve(runs.size());
@@ -465,18 +454,6 @@ Status CmdLineage(const Args& args, std::ostream& out) {
     }
   }
   trace_scope.Finish();
-
-  // The single-query analogue of the service's slow-query log: flags
-  // outliers without anyone watching a dashboard.
-  if (slow_query_ms > 0.0 && args.Get("threads") == nullptr &&
-      answer.timing.total_ms() > slow_query_ms) {
-    PROVLIN_LOG(Warning) << "slow lineage query ("
-                         << answer.timing.total_ms() << " ms > "
-                         << slow_query_ms << " ms): " << target.ToString()
-                         << index.ToString()
-                         << " probes=" << answer.timing.trace_probes
-                         << " descents=" << answer.timing.trace_descents;
-  }
 
   out << (forward ? "impact of " : "lineage of ") << target.ToString()
       << index.ToString() << ":\n";
@@ -824,15 +801,21 @@ Status CmdServe(const Args& args, std::ostream& out) {
       << ", shutting down\n";
   server.Stop();
 
-  server::ServerStats stats = server.stats();
-  out << "served " << stats.responses_ok << " ok, " << stats.responses_error
-      << " error, " << stats.overload_shed << " shed over "
-      << stats.connections_accepted << " connections ("
-      << stats.connections_rejected << " rejected, " << stats.bad_frames
-      << " bad frames, " << stats.stats_requests << " stats scrapes)\n";
-  if (stats.slow_requests_logged > 0) {
-    out << "slow-request log: " << stats.slow_requests_logged
-        << " records -> " << options.slow_log_path << "\n";
+  // This process served only this server, so the registry's server/*
+  // totals are its counts.
+  const common::metrics::MetricsSnapshot snap =
+      common::metrics::MetricsRegistry::Global().Snapshot();
+  out << "served " << snap.counter("server/responses_ok") << " ok, "
+      << snap.counter("server/responses_error") << " error, "
+      << snap.counter("server/overload_shed") << " shed over "
+      << snap.counter("server/connections_accepted") << " connections ("
+      << snap.counter("server/connections_rejected") << " rejected, "
+      << snap.counter("server/bad_frames") << " bad frames, "
+      << snap.counter("server/stats_requests") << " stats scrapes)\n";
+  if (uint64_t logged = snap.counter("server/slow_requests_logged");
+      logged > 0) {
+    out << "slow-request log: " << logged << " records -> "
+        << options.slow_log_path << "\n";
   }
   if (args.Get("stats") != nullptr && *args.Get("stats") != "false") {
     TouchWellKnownInstruments();

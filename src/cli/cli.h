@@ -24,15 +24,14 @@ namespace provlin::cli {
 ///   lineage  --db FILE --workflow W --run ID [--run ID]* --target P:X
 ///            [--index 1,2] [--focus P]* [--engine naive|indexproj]
 ///            [--forward] [--explain true] [--threads N] [--shards N]
-///            [--trace-out FILE.json] [--slow-query-ms N] [--stats true]
+///            [--trace-out FILE.json] [--stats true]
 ///            Answer a (backward or forward) lineage query. With
 ///            --threads N the runs are answered as a concurrent batch on
 ///            an N-worker LineageService (one request per run, shared
 ///            plan cache) and the service metrics are printed.
 ///            --trace-out captures the query as Chrome trace-event JSON
-///            (open in Perfetto); --slow-query-ms logs a WARNING line
-///            for queries slower than N ms; --stats true appends the
-///            Prometheus metrics exposition after the answer.
+///            (open in Perfetto); --stats true appends the Prometheus
+///            metrics exposition after the answer.
 ///   explain  --db FILE --workflow W --run ID [--run ID]* --target P:X
 ///            [--index 1,2] [--focus P]* [--shards N]
 ///            [--trace-out FILE.json]

@@ -58,11 +58,6 @@ inline constexpr std::string_view kCounterNames[] = {
     "service/batches",
     "service/requests",
     "service/failed_requests",
-    "service/plan_cache_hits",
-    "service/trace_probes",
-    "service/trace_descents",
-    "service/probe_memo_hits",
-    "service/probe_memo_lookups",
     // network server
     "server/connections_accepted",
     "server/connections_rejected",
@@ -82,7 +77,6 @@ inline constexpr std::string_view kCounterNames[] = {
 
 /// Last-write-wins gauges.
 inline constexpr std::string_view kGaugeNames[] = {
-    "service/last_batch_wall_us",
     "provenance/shards",
     "server/queue_depth",
     // tracer ring-sink health (published by PublishTracingStats)
@@ -97,7 +91,6 @@ inline constexpr std::string_view kLatencyHistogramNames[] = {
     "lineage/t1_ms",
     "lineage/t2_ms",
     "service/queue_wait_ms",
-    "service/exec_ms",
     "service/batch_wall_ms",
     "server/request_ms",
     // per-phase served-request decomposition (DESIGN.md §14)

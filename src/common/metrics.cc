@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <thread>
 
+#include "common/string_util.h"
+
 namespace provlin::common::metrics {
 
 namespace {
@@ -25,38 +27,6 @@ std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%g", v);
   return buf;
-}
-
-/// Minimal JSON string escaping for metric keys (keys are code-chosen
-/// paths, but exposition output must stay well-formed regardless).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace

@@ -34,8 +34,7 @@ namespace provlin::common::metrics {
 
 /// Monotonic counter, sharded to keep concurrent writers off each
 /// other's cache lines. Value() sums the shards (racy-exact under
-/// concurrent writers, exact when quiescent — same contract as the
-/// storage layer's TableStats).
+/// concurrent writers, exact when quiescent).
 ///
 /// Deliberately lock-free: every field is a relaxed atomic, so nothing
 /// here is mutex-guarded and the thread safety analysis has nothing to
@@ -84,7 +83,7 @@ class Counter {
   Shard shards_[kShards];
 };
 
-/// Last-write-wins signed gauge (e.g. "service/last_batch_wall_us").
+/// Last-write-wins signed gauge (e.g. "server/queue_depth").
 class Gauge {
  public:
   Gauge() = default;

@@ -27,6 +27,12 @@ bool ParseInt64(std::string_view s, int64_t* out);
 /// Parses a double; returns false on any malformed input.
 bool ParseDouble(std::string_view s, double* out);
 
+/// Escapes `s` for embedding in a JSON string literal (the quotes are
+/// the caller's): `"` and `\` are backslash-escaped, newline, carriage
+/// return and tab get their short escapes, and every other byte below
+/// 0x20 becomes \u00XX. Bytes >= 0x20 pass through unchanged.
+std::string JsonEscape(std::string_view s);
+
 }  // namespace provlin
 
 #endif  // PROVLIN_COMMON_STRING_UTIL_H_

@@ -147,7 +147,7 @@ Result<LineageAnswer> NaiveForwardLineage::Query(
     const InterestSet& interest) const {
   PROVLIN_TRACE_SPAN("forward_ni/query");
   LineageAnswer answer;
-  storage::TableStats before = store_->db()->AggregateStats();
+  storage::ThreadStats before = storage::ThisThreadStats();
   WallTimer timer;
 
   // Resolve the query to id space once; unrecorded names have no impact.
@@ -182,10 +182,10 @@ Result<LineageAnswer> NaiveForwardLineage::Query(
   NormalizeBindings(&answer.bindings);
   answer.timing.t2_ms = timer.ElapsedMillis();
   answer.timing.graph_steps = traversal.steps();
-  storage::TableStats after = store_->db()->AggregateStats();
-  answer.timing.trace_probes = (after.index_probes - before.index_probes) +
-                               (after.full_scans - before.full_scans);
-  answer.timing.trace_descents = after.descents - before.descents;
+  answer.timing.trace_probes =
+      storage::ThisThreadStats().probes() - before.probes();
+  answer.timing.trace_descents =
+      storage::ThisThreadStats().descents - before.descents;
   PublishTiming("forward_naive", answer.timing);
   return answer;
 }
@@ -487,16 +487,16 @@ Result<LineageAnswer> ForwardIndexProjLineage::QueryMultiRun(
   answer.timing.t1_ms = t1.ElapsedMillis();
   answer.timing.graph_steps = plan->graph_steps;
 
-  storage::TableStats before = store_->db()->AggregateStats();
+  storage::ThreadStats before = storage::ThisThreadStats();
   WallTimer t2;
   for (const std::string& run : runs) {
     PROVLIN_RETURN_IF_ERROR(ExecutePlan(*plan, run, &answer.bindings));
   }
   answer.timing.t2_ms = t2.ElapsedMillis();
-  storage::TableStats after = store_->db()->AggregateStats();
-  answer.timing.trace_probes = (after.index_probes - before.index_probes) +
-                               (after.full_scans - before.full_scans);
-  answer.timing.trace_descents = after.descents - before.descents;
+  answer.timing.trace_probes =
+      storage::ThisThreadStats().probes() - before.probes();
+  answer.timing.trace_descents =
+      storage::ThisThreadStats().descents - before.descents;
 
   NormalizeBindings(&answer.bindings);
   PublishTiming("forward_indexproj", answer.timing);

@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "common/metrics.h"
+#include "common/string_util.h"
 
 namespace provlin::lineage {
 
@@ -71,34 +72,6 @@ namespace {
 
 thread_local std::optional<ExplainResult>* g_active_explain = nullptr;
 
-std::string JsonQuote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += "\"";
-  return out;
-}
-
 }  // namespace
 
 ExplainScope::ExplainScope(std::optional<ExplainResult>* out)
@@ -154,8 +127,8 @@ std::string ExplainResult::ToJson() const {
   for (size_t i = 0; i < steps.size(); ++i) {
     const ExplainStep& s = steps[i];
     if (i > 0) out += ",";
-    out += "{\"kind\":" + JsonQuote(s.kind);
-    out += ",\"query\":" + JsonQuote(s.query);
+    out += "{\"kind\":\"" + JsonEscape(s.kind) + "\"";
+    out += ",\"query\":\"" + JsonEscape(s.query) + "\"";
     out += ",\"trace_probes\":" + std::to_string(s.trace_probes);
     out += ",\"rows\":" + std::to_string(s.rows);
     out += ",\"bindings\":" + std::to_string(s.bindings);

@@ -5,7 +5,7 @@
 #include <tuple>
 #include <utility>
 
-#include "common/logging.h"
+#include "common/metrics.h"
 #include "common/timer.h"
 #include "common/tracing.h"
 #include "provenance/trace_store.h"
@@ -35,27 +35,17 @@ std::tuple<const void*, std::string> GroupKey(const ServiceRequest& req) {
 namespace metrics = common::metrics;
 
 /// Registry handles for the service/* instruments: resolved once, then
-/// every batch's accumulation pass mirrors its deltas here so `provlin
-/// stats` sees the process totals across all services.
+/// bumped by every batch's accumulation pass, so `provlin stats` sees the
+/// process totals across all services. Only the service's own quantities
+/// live here; per-query costs are published once, by the engines.
 struct ServiceInstruments {
   metrics::Counter* batches = metrics::GetCounter("service/batches");
   metrics::Counter* requests = metrics::GetCounter("service/requests");
   metrics::Counter* failed = metrics::GetCounter("service/failed_requests");
-  metrics::Counter* plan_cache_hits =
-      metrics::GetCounter("service/plan_cache_hits");
-  metrics::Counter* trace_probes = metrics::GetCounter("service/trace_probes");
-  metrics::Counter* trace_descents =
-      metrics::GetCounter("service/trace_descents");
-  metrics::Counter* memo_hits = metrics::GetCounter("service/probe_memo_hits");
-  metrics::Counter* memo_lookups =
-      metrics::GetCounter("service/probe_memo_lookups");
   metrics::Histogram* queue_wait =
       metrics::GetHistogram("service/queue_wait_ms");
-  metrics::Histogram* exec = metrics::GetHistogram("service/exec_ms");
   metrics::Histogram* batch_wall =
       metrics::GetHistogram("service/batch_wall_ms");
-  metrics::Gauge* last_batch_wall_us =
-      metrics::GetGauge("service/last_batch_wall_us");
 };
 
 ServiceInstruments& Mx() {
@@ -88,24 +78,6 @@ std::string ServiceMetrics::ToString() const {
   }
   out += "]";
   return out;
-}
-
-ServiceMetrics ServiceMetrics::FromRegistrySnapshot(
-    const common::metrics::MetricsSnapshot& snap) {
-  ServiceMetrics m;
-  m.batches = snap.counter("service/batches");
-  m.requests = snap.counter("service/requests");
-  m.failed_requests = snap.counter("service/failed_requests");
-  m.plan_cache_hits = snap.counter("service/plan_cache_hits");
-  m.trace_probes = snap.counter("service/trace_probes");
-  m.trace_descents = snap.counter("service/trace_descents");
-  m.probe_memo_hits = snap.counter("service/probe_memo_hits");
-  m.probe_memo_lookups = snap.counter("service/probe_memo_lookups");
-  m.total_queue_wait_ms = snap.histogram_sum("service/queue_wait_ms");
-  m.total_exec_ms = snap.histogram_sum("service/exec_ms");
-  m.last_batch_wall_ms =
-      static_cast<double>(snap.gauge("service/last_batch_wall_us")) / 1000.0;
-  return m;
 }
 
 LineageService::LineageService(ServiceOptions options)
@@ -236,48 +208,28 @@ std::vector<ServiceResponse> LineageService::ExecuteBatch(
   }
   double batch_wall_ms = batch_timer.ElapsedMillis();
 
-  // Per-instance counters under the lock, process-wide registry mirror
-  // alongside: the two views accumulate the same deltas, so in a
-  // single-service process FromRegistrySnapshot reproduces metrics().
+  // Per-instance counters under the lock; the registry takes only the
+  // service's own quantities (see ServiceInstruments).
   common::MutexLock lock(metrics_mu_);
   metrics_.batches += 1;
   metrics_.last_batch_wall_ms = batch_wall_ms;
   Mx().batches->Increment();
   Mx().batch_wall->Observe(batch_wall_ms);
-  Mx().last_batch_wall_us->Set(static_cast<int64_t>(batch_wall_ms * 1000.0));
-  for (size_t i = 0; i < responses.size(); ++i) {
-    const ServiceResponse& resp = responses[i];
+  for (const ServiceResponse& resp : responses) {
     metrics_.requests += 1;
+    metrics_.total_queue_wait_ms += resp.queue_wait_ms;
     Mx().requests->Increment();
     Mx().queue_wait->Observe(resp.queue_wait_ms);
     if (!resp.status.ok()) {
       metrics_.failed_requests += 1;
       Mx().failed->Increment();
+      continue;
     }
-    if (resp.status.ok() && resp.answer.timing.plan_cache_hit) {
-      metrics_.plan_cache_hits += 1;
-      Mx().plan_cache_hits->Increment();
-    }
-    metrics_.total_queue_wait_ms += resp.queue_wait_ms;
-    if (resp.status.ok()) {
-      double exec_ms = resp.answer.timing.total_ms();
-      metrics_.total_exec_ms += exec_ms;
-      metrics_.trace_probes += resp.answer.timing.trace_probes;
-      metrics_.trace_descents += resp.answer.timing.trace_descents;
-      Mx().exec->Observe(exec_ms);
-      Mx().trace_probes->Add(resp.answer.timing.trace_probes);
-      Mx().trace_descents->Add(resp.answer.timing.trace_descents);
-      if (options_.slow_query_ms > 0.0 && exec_ms > options_.slow_query_ms) {
-        PROVLIN_LOG(Warning)
-            << "slow lineage query (" << exec_ms << " ms > "
-            << options_.slow_query_ms << " ms): "
-            << batch[i].request.ToString() << " t1=" << resp.answer.timing.t1_ms
-            << "ms t2=" << resp.answer.timing.t2_ms
-            << "ms probes=" << resp.answer.timing.trace_probes
-            << " descents=" << resp.answer.timing.trace_descents
-            << " worker=" << resp.worker;
-      }
-    }
+    const LineageTiming& timing = resp.answer.timing;
+    if (timing.plan_cache_hit) metrics_.plan_cache_hits += 1;
+    metrics_.total_exec_ms += timing.total_ms();
+    metrics_.trace_probes += timing.trace_probes;
+    metrics_.trace_descents += timing.trace_descents;
   }
   for (size_t w = 0; w < worker_probes.size(); ++w) {
     metrics_.per_thread_probes[w] += worker_probes[w];
@@ -285,8 +237,6 @@ std::vector<ServiceResponse> LineageService::ExecuteBatch(
   if (memo != nullptr) {
     metrics_.probe_memo_hits += memo->hits();
     metrics_.probe_memo_lookups += memo->lookups();
-    Mx().memo_hits->Add(memo->hits());
-    Mx().memo_lookups->Add(memo->lookups());
   }
   return responses;
 }

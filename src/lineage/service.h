@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/annotations.h"
-#include "common/metrics.h"
 #include "common/result.h"
 #include "common/sync.h"
 #include "common/thread_pool.h"
@@ -36,10 +35,6 @@ struct ServiceOptions {
   /// batch-composition-dependent, so count-asserting tests turn this
   /// off.
   bool dedupe_probes = true;
-  /// Slow-query outlier threshold in milliseconds: a request whose
-  /// engine-measured execution time exceeds it gets one WARNING log line
-  /// (target, runs, timing breakdown). 0 disables the check.
-  double slow_query_ms = 0.0;
 };
 
 /// One entry of a batch: which engine answers which request. Engines are
@@ -77,8 +72,13 @@ struct ServiceResponse {
   std::optional<ExplainResult> explain;
 };
 
-/// Cumulative service counters — a value snapshot, consumable by the CLI
-/// (`lineage --threads N`) and the service bench.
+/// Cumulative counters of one service instance — a value snapshot,
+/// consumable by the CLI (`lineage --threads N`) and the service bench.
+/// The process-wide registry keeps only what no other tier counts:
+/// service/{batches,requests,failed_requests} and the queue-wait and
+/// batch-wall histograms. Probes, descents and plan-cache hits are the
+/// engines' lineage/* counters and memo traffic is provenance/memo_*;
+/// in a process with one service their deltas equal the fields here.
 struct ServiceMetrics {
   uint64_t batches = 0;
   uint64_t requests = 0;
@@ -112,15 +112,6 @@ struct ServiceMetrics {
   }
 
   std::string ToString() const;
-
-  /// The registry-derived view: rebuilds the same counters from a
-  /// MetricsSnapshot's service/* instruments. In a process with one
-  /// LineageService this equals metrics() exactly (asserted by
-  /// service_test); with several services it is their sum.
-  /// per_thread_probes stays empty — worker attribution is per-service
-  /// state the process-wide registry does not keep.
-  static ServiceMetrics FromRegistrySnapshot(
-      const common::metrics::MetricsSnapshot& snap);
 };
 
 /// Concurrent batch lineage query service: accepts a batch of requests
@@ -132,7 +123,7 @@ struct ServiceMetrics {
 ///
 /// The trace stores behind the engines must be quiescent while a batch
 /// executes (no concurrent capture); the storage read path is designed
-/// to be shared (atomic stats, internally synchronized dictionaries).
+/// to be shared (per-thread stats, internally synchronized dictionaries).
 class LineageService {
  public:
   explicit LineageService(ServiceOptions options = {});
@@ -144,9 +135,7 @@ class LineageService {
   std::vector<ServiceResponse> ExecuteBatch(
       const std::vector<ServiceRequest>& batch) EXCLUDES(metrics_mu_);
 
-  /// Snapshot of this service's cumulative counters. The same values are
-  /// also published to the process-wide MetricsRegistry under service/*
-  /// (see ServiceMetrics::FromRegistrySnapshot).
+  /// Snapshot of this service's cumulative counters.
   ServiceMetrics metrics() const EXCLUDES(metrics_mu_);
   void ResetMetrics() EXCLUDES(metrics_mu_);
 

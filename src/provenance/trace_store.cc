@@ -401,9 +401,9 @@ constexpr size_t kMaxQueuedRows = 4096;
 
 // ---------------------------------------------------------------------------
 // Shard: one partition's tables, WAL, and ingest machinery.
-// Lock order within a shard: ingest_mu before data_mu before the
-// facade's shared-WAL mutex; none of the three is ever acquired in the
-// reverse direction (DESIGN.md §11 extends the §10 lock table).
+// Lock order within a shard: ingest_mu before data_mu, never the
+// reverse; the shard's WAL has no lock of its own and is written under
+// data_mu (DESIGN.md §11 extends the §10 lock table).
 // ---------------------------------------------------------------------------
 
 struct TraceStore::Shard {

@@ -117,7 +117,8 @@ class ProbeMemo {
   std::map<Key, std::shared_ptr<const std::vector<XferRecord>>> xfer_
       GUARDED_BY(mu_);
   /// Hit/lookup tallies stay relaxed atomics — bumped outside mu_ on
-  /// the probe fast path, racy-exact under concurrency like TableStats.
+  /// the probe fast path, racy-exact under concurrency, exact once the
+  /// batch that shares the memo has quiesced.
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> lookups_{0};
 };

@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/string_util.h"
 #include "common/tracing.h"
 
 namespace provlin::server {
@@ -151,23 +152,6 @@ void LineageServer::Stop() {
     common::MutexLock lock(conns_mu_);
     conns_.clear();
   }
-}
-
-ServerStats LineageServer::stats() const {
-  // The server publishes only to the process-wide registry; the typed
-  // snapshot is rebuilt from it (same pattern as ServiceMetrics).
-  ServerCounters& c = Counters();
-  ServerStats s;
-  s.connections_accepted = c.connections_accepted->Value();
-  s.connections_rejected = c.connections_rejected->Value();
-  s.requests = c.requests->Value();
-  s.responses_ok = c.responses_ok->Value();
-  s.responses_error = c.responses_error->Value();
-  s.overload_shed = c.overload_shed->Value();
-  s.bad_frames = c.bad_frames->Value();
-  s.stats_requests = c.stats_requests->Value();
-  s.slow_requests_logged = c.slow_logged->Value();
-  return s;
 }
 
 void LineageServer::PauseDispatchForTest() {

@@ -54,20 +54,6 @@ struct ServerOptions {
   uint64_t slow_log_max_bytes = 4u << 20;
 };
 
-/// Cumulative served-traffic counters (value snapshot; also published
-/// to the process-wide registry under server/*).
-struct ServerStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_rejected = 0;
-  uint64_t requests = 0;       ///< well-formed requests admitted or shed
-  uint64_t responses_ok = 0;
-  uint64_t responses_error = 0;  ///< typed errors other than OVERLOADED
-  uint64_t overload_shed = 0;    ///< requests refused by admission control
-  uint64_t bad_frames = 0;       ///< frames that failed envelope decode
-  uint64_t stats_requests = 0;   ///< STATS scrapes (separate from requests)
-  uint64_t slow_requests_logged = 0;  ///< records appended to the slow log
-};
-
 /// The network front-end of the lineage API: accepts loopback TCP
 /// connections carrying length-prefixed wire.h frames, decodes
 /// RequestEnvelopes, funnels them through one shared concurrent
@@ -85,6 +71,10 @@ struct ServerStats {
 /// reader thread answers OVERLOADED immediately — nothing queues, no
 /// memory grows, and the client gets a typed retryable signal
 /// (Status::Unavailable through ResponseEnvelope::ToStatus).
+///
+/// Served-traffic counters (requests, responses, shed, bad frames,
+/// scrapes, slow-log records) live only in the process-wide metrics
+/// registry under server/*; read them from a registry snapshot.
 ///
 /// Lock inventory (DESIGN.md §12): queue_mu_ guards the pending queue
 /// and dispatcher wakeup; conns_mu_ guards the connection list; each
@@ -115,8 +105,6 @@ class LineageServer {
 
   /// Bound port (valid after Start; the ephemeral port when port=0).
   uint16_t port() const { return port_; }
-
-  ServerStats stats() const;
 
   /// Test hooks: freeze/unfreeze the dispatcher so admission control
   /// can be driven deterministically (queue fills while paused).

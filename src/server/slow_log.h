@@ -13,11 +13,6 @@
 
 namespace provlin::server {
 
-/// Escapes a string for embedding in a JSON string literal (quotes,
-/// backslashes, control characters). Shared by the slow-request log
-/// and the server's STATS assembly.
-std::string JsonEscape(std::string_view s);
-
 /// Structured slow-request sink: one JSON object per line, appended to
 /// a bounded rotating file. When an append would push the live file
 /// past `max_bytes`, the file is rotated to `<path>.1` (replacing any

@@ -65,25 +65,6 @@ size_t Database::TotalRows() const {
   return n;
 }
 
-TableStats Database::AggregateStats() const {
-  TableStats agg;
-  for (const auto& [_, t] : tables_) {
-    TableStats s = t->stats();
-    agg.inserts += s.inserts;
-    agg.deletes += s.deletes;
-    agg.index_probes += s.index_probes;
-    agg.full_scans += s.full_scans;
-    agg.rows_examined += s.rows_examined;
-    agg.batched_probes += s.batched_probes;
-    agg.descents += s.descents;
-  }
-  return agg;
-}
-
-void Database::ResetStats() {
-  for (auto& [_, t] : tables_) t->ResetStats();
-}
-
 void Database::PutBlob(const std::string& key,
                        std::shared_ptr<const std::string> bytes) {
   common::MutexLock lock(blobs_->mu);

@@ -50,10 +50,6 @@ class Database {
   /// Total live rows across all tables.
   size_t TotalRows() const;
 
-  /// Aggregated access-path counters across all tables.
-  TableStats AggregateStats() const;
-  void ResetStats();
-
   /// Serializes the whole database to `path` / restores it. Load replaces
   /// the current catalog and dictionaries.
   Status Save(const std::string& path) const;

@@ -907,8 +907,9 @@ Status DecodeRowBlock(const Segment::Rep& rep, size_t b, BlockColumns* cols) {
         if (i % 8 == 0 && !d.U8(&byte)) {
           return Status::Internal("segment: bitmap decode");
         }
-        slot[i] = (byte >> (i % 8)) & 1u ? static_cast<int32_t>(present[s]++)
-                                         : -1;
+        slot[i] = (static_cast<unsigned>(byte) >> (i % 8)) & 1u
+                      ? static_cast<int32_t>(present[s]++)
+                      : -1;
       }
     }
   }

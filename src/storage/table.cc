@@ -9,9 +9,9 @@ namespace {
 
 namespace metrics = common::metrics;
 
-/// Process-wide access-path counters, mirrored into the MetricsRegistry
-/// at the same sites that bump the per-table and per-thread stats. The
-/// handles are resolved once; each bump is a single relaxed add.
+/// Process-wide access-path counters in the MetricsRegistry, bumped at
+/// the same sites as the per-thread stats. The handles are resolved
+/// once; each bump is a single relaxed add.
 struct StorageMetrics {
   metrics::Counter* inserts = metrics::GetCounter("storage/inserts");
   metrics::Counter* deletes = metrics::GetCounter("storage/deletes");
@@ -36,28 +36,6 @@ StorageMetrics& Mx() {
 ThreadStats& ThisThreadStats() {
   thread_local ThreadStats stats;
   return stats;
-}
-
-TableStats Table::StatsCounters::Snapshot() const {
-  TableStats s;
-  s.inserts = inserts.load(std::memory_order_relaxed);
-  s.deletes = deletes.load(std::memory_order_relaxed);
-  s.index_probes = index_probes.load(std::memory_order_relaxed);
-  s.full_scans = full_scans.load(std::memory_order_relaxed);
-  s.rows_examined = rows_examined.load(std::memory_order_relaxed);
-  s.batched_probes = batched_probes.load(std::memory_order_relaxed);
-  s.descents = descents.load(std::memory_order_relaxed);
-  return s;
-}
-
-void Table::StatsCounters::Reset() {
-  inserts.store(0, std::memory_order_relaxed);
-  deletes.store(0, std::memory_order_relaxed);
-  index_probes.store(0, std::memory_order_relaxed);
-  full_scans.store(0, std::memory_order_relaxed);
-  rows_examined.store(0, std::memory_order_relaxed);
-  batched_probes.store(0, std::memory_order_relaxed);
-  descents.store(0, std::memory_order_relaxed);
 }
 
 Table::Table(std::string name, Schema schema)
@@ -113,7 +91,6 @@ Result<uint64_t> Table::Insert(const Row& row) {
   rows_.push_back(row);
   deleted_.push_back(false);
   ++live_rows_;
-  stats_.Bump(stats_.inserts);
   Mx().inserts->Increment();
   for (auto& idx : indexes_) {
     Key key = ExtractKey(row, idx);
@@ -144,7 +121,6 @@ Status Table::Delete(uint64_t rid) {
   rows_[rid] = Row();
   deleted_[rid] = true;
   --live_rows_;
-  stats_.Bump(stats_.deletes);
   Mx().deletes->Increment();
   return Status::OK();
 }
@@ -153,7 +129,6 @@ Result<Row> Table::Get(uint64_t rid) const {
   if (rid >= rows_.size() || deleted_[rid]) {
     return Status::NotFound("row " + std::to_string(rid) + " not found");
   }
-  stats_.Bump(stats_.rows_examined);
   ++ThisThreadStats().rows_examined;
   Mx().rows_examined->Increment();
   return rows_[rid];
@@ -161,7 +136,6 @@ Result<Row> Table::Get(uint64_t rid) const {
 
 const Row* Table::PeekRow(uint64_t rid) const {
   if (rid >= rows_.size() || deleted_[rid]) return nullptr;
-  stats_.Bump(stats_.rows_examined);
   ++ThisThreadStats().rows_examined;
   Mx().rows_examined->Increment();
   return &rows_[rid];
@@ -184,11 +158,9 @@ Result<std::vector<uint64_t>> Table::IndexLookup(std::string_view index_name,
         "key arity " + std::to_string(key.size()) + " != index arity " +
         std::to_string(idx->column_idx.size()));
   }
-  stats_.Bump(stats_.index_probes);
   ++ThisThreadStats().index_probes;
   Mx().index_probes->Increment();
   if (idx->btree != nullptr) {
-    stats_.Bump(stats_.descents);
     ++ThisThreadStats().descents;
     Mx().descents->Increment();
     return idx->btree->Lookup(key);
@@ -205,9 +177,7 @@ Result<std::vector<uint64_t>> Table::IndexPrefixLookup(
   if (prefix.size() > idx->column_idx.size()) {
     return Status::InvalidArgument("prefix longer than index arity");
   }
-  stats_.Bump(stats_.index_probes);
   ++ThisThreadStats().index_probes;
-  stats_.Bump(stats_.descents);
   ++ThisThreadStats().descents;
   Mx().index_probes->Increment();
   Mx().descents->Increment();
@@ -220,9 +190,7 @@ Result<std::vector<uint64_t>> Table::IndexRangeLookup(
   if (idx->btree == nullptr) {
     return Status::InvalidArgument("range lookup requires a BTree index");
   }
-  stats_.Bump(stats_.index_probes);
   ++ThisThreadStats().index_probes;
-  stats_.Bump(stats_.descents);
   ++ThisThreadStats().descents;
   Mx().index_probes->Increment();
   Mx().descents->Increment();
@@ -237,23 +205,18 @@ Result<BPlusTree::MultiSeekResult> Table::IndexMultiSeek(
     return Status::InvalidArgument("multi-seek requires a BTree index");
   }
   uint64_t n = probes.size();
-  stats_.Bump(stats_.index_probes, n);
-  stats_.Bump(stats_.batched_probes, n);
   ThisThreadStats().index_probes += n;
   ThisThreadStats().batched_probes += n;
   Mx().index_probes->Add(n);
   Mx().batched_probes->Add(n);
   Mx().multiseek_batch->Observe(static_cast<double>(n));
   BPlusTree::MultiSeekResult result = idx->btree->MultiSeek(probes);
-  stats_.Bump(stats_.descents, result.descents);
   ThisThreadStats().descents += result.descents;
   Mx().descents->Add(result.descents);
   return result;
 }
 
 std::vector<uint64_t> Table::FullScan() const {
-  stats_.Bump(stats_.full_scans);
-  stats_.Bump(stats_.rows_examined, rows_.size());
   ++ThisThreadStats().full_scans;
   ThisThreadStats().rows_examined += rows_.size();
   Mx().full_scans->Increment();

@@ -1,7 +1,6 @@
 #ifndef PROVLIN_STORAGE_TABLE_H_
 #define PROVLIN_STORAGE_TABLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -25,33 +24,18 @@ struct IndexSpec {
   IndexType type = IndexType::kBTree;
 };
 
-/// Access-path counters (a value snapshot). The benches report these
-/// alongside wall-clock times: unlike milliseconds they are hardware
-/// independent, so the NI-vs-IndexProj probe-count gap directly mirrors
-/// the paper's argument.
-struct TableStats {
-  uint64_t inserts = 0;
-  uint64_t deletes = 0;
-  uint64_t index_probes = 0;
-  uint64_t full_scans = 0;
-  uint64_t rows_examined = 0;
-  /// Logical probes that were submitted through a batched lookup
-  /// (IndexMultiSeek). Each such probe also counts in index_probes —
-  /// batching changes the physical execution, never the logical count.
-  uint64_t batched_probes = 0;
-  /// Physical root-to-leaf B+-tree descents. A single-probe lookup costs
-  /// exactly one; a batch amortizes — descents <= probes is the whole
-  /// point of the batched layer. Hash probes never descend.
-  uint64_t descents = 0;
-};
-
-/// Per-thread access-path counters, mirroring the read-side TableStats
-/// fields. The global atomics aggregate across all threads, so a delta
-/// of AggregateStats() taken around a query is meaningless once queries
-/// run concurrently — it charges every other thread's probes to this
-/// query. Read paths therefore also bump these plain thread_local
-/// counters, and per-query cost attribution (LineageTiming.trace_probes,
-/// the service's per-thread metrics) uses deltas of ThisThreadStats().
+/// Per-thread access-path counters: the storage layer's only record of
+/// read cost. Every read path (hot table lookups here, sealed segment
+/// probes in the trace store) bumps the calling thread's plain
+/// thread_local counters, so a query's cost is the delta of
+/// ThisThreadStats() taken around it on its own thread — exact even while
+/// other queries run concurrently. Process-wide totals live in the
+/// metrics registry (storage/*), bumped at the same sites.
+///
+/// A batched lookup (IndexMultiSeek) counts each of its probes as a
+/// logical index probe and as a batched one, but only the physical
+/// root-to-leaf descents the batch actually paid: descents <= probes is
+/// the point of the batched layer. Hash probes never descend.
 struct ThreadStats {
   uint64_t index_probes = 0;
   uint64_t full_scans = 0;
@@ -73,11 +57,9 @@ ThreadStats& ThisThreadStats();
 /// because mutation is confined to capture/setup phases, while query
 /// phases share the table read-only across threads (the regime the
 /// LineageService batches run in; trace stores must be quiescent during
-/// a batch). The only state touched from concurrent const readers is
-/// StatsCounters, which is relaxed-atomic by design rather than
-/// mutex-guarded: counter bumps sit on the per-probe hot path, and
-/// cross-counter consistency of a snapshot is explicitly not promised
-/// (racy-exact, exact when quiescent).
+/// a batch). Const paths never write to the table: their cost goes to
+/// the calling thread's ThreadStats and to the registry's relaxed
+/// atomic counters.
 class Table {
  public:
   Table(std::string name, Schema schema);
@@ -147,10 +129,6 @@ class Table {
   size_t num_rows() const { return live_rows_; }
   size_t num_slots() const { return rows_.size(); }
 
-  /// Snapshot of the access-path counters (relaxed reads).
-  TableStats stats() const { return stats_.Snapshot(); }
-  void ResetStats() { stats_.Reset(); }
-
   /// Verifies that every index agrees with the heap (used in tests).
   Status CheckIndexConsistency() const;
 
@@ -165,33 +143,12 @@ class Table {
   Key ExtractKey(const Row& row, const SecondaryIndex& idx) const;
   Result<const SecondaryIndex*> FindIndex(std::string_view index_name) const;
 
-  /// Counters behind the TableStats snapshot. Const query paths (Get,
-  /// IndexLookup, FullScan) bump them, so they are mutable — and relaxed
-  /// atomics, so concurrent const readers of a shared table stay
-  /// data-race free once shared-read serving lands.
-  struct StatsCounters {
-    std::atomic<uint64_t> inserts{0};
-    std::atomic<uint64_t> deletes{0};
-    std::atomic<uint64_t> index_probes{0};
-    std::atomic<uint64_t> full_scans{0};
-    std::atomic<uint64_t> rows_examined{0};
-    std::atomic<uint64_t> batched_probes{0};
-    std::atomic<uint64_t> descents{0};
-
-    TableStats Snapshot() const;
-    void Reset();
-    void Bump(std::atomic<uint64_t>& counter, uint64_t n = 1) {
-      counter.fetch_add(n, std::memory_order_relaxed);
-    }
-  };
-
   std::string name_;
   Schema schema_;
   std::vector<Row> rows_;
   std::vector<bool> deleted_;
   size_t live_rows_ = 0;
   std::vector<SecondaryIndex> indexes_;
-  mutable StatsCounters stats_;
 };
 
 }  // namespace provlin::storage

@@ -2,6 +2,7 @@
 #define PROVLIN_VALUES_VALUE_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -20,10 +21,10 @@ class Value {
   explicit Value(Atom atom) : kind_(Kind::kAtom), atom_(std::move(atom)) {}
 
   /// Convenience atom constructors.
-  static Value Str(std::string s) { return Value(Atom(std::move(s))); }
-  static Value Int(int64_t v) { return Value(Atom(v)); }
-  static Value Dbl(double v) { return Value(Atom(v)); }
-  static Value Boolean(bool v) { return Value(Atom(v)); }
+  static Value Str(std::string s) { return Value(std::in_place, std::move(s)); }
+  static Value Int(int64_t v) { return Value(std::in_place, v); }
+  static Value Dbl(double v) { return Value(std::in_place, v); }
+  static Value Boolean(bool v) { return Value(std::in_place, v); }
   static Value Null() { return Value(); }
   /// An error token (possibly wrapped later to match a declared depth).
   static Value Error(std::string message) {
@@ -79,6 +80,13 @@ class Value {
 
  private:
   enum class Kind { kAtom, kList };
+
+  /// Builds the atom in place from its payload. Moving a temporary Atom
+  /// in instead visits its variant, which GCC 12 reports as a
+  /// -Wmaybe-uninitialized false positive in sanitizer builds.
+  template <typename T>
+  Value(std::in_place_t, T&& payload)
+      : kind_(Kind::kAtom), atom_(std::forward<T>(payload)) {}
 
   Kind kind_;
   Atom atom_;

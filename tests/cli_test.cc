@@ -320,7 +320,7 @@ TEST_F(CliTest, StatsCommandExposesRegistry) {
       << out_.str();
   EXPECT_NE(out_.str().find("provlin_lineage_plan_cache_hits 0"),
             std::string::npos);
-  EXPECT_NE(out_.str().find("provlin_service_exec_ms_bucket"),
+  EXPECT_NE(out_.str().find("provlin_service_queue_wait_ms_bucket"),
             std::string::npos);
 
   ASSERT_EQ(Run({"stats", "--format", "json"}), 0) << err_.str();

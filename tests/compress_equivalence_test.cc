@@ -3,12 +3,12 @@
 // whether sealed by policy (--compress seal/always) or explicitly
 // (SealRun / SealAllRuns) — must return bindings identical to the
 // all-hot B+tree store, with the same logical probe counts and the
-// same EXPLAIN row counts per step, for both engines and the
-// depth-first reference NI. The suite sweeps the paper workloads (GK,
-// PD, synthetic) plus random workflows over shards ∈ {1, 4} and the three
-// sealing shapes (policy-mixed hot/sealed, everything sealed,
-// explicitly sealed), and checks DeleteRun and image persistence
-// against sealed runs.
+// same EXPLAIN row counts per step, for both backward engines, the
+// depth-first reference NI and both forward engines. The suite sweeps
+// the paper workloads (GK, PD, synthetic) plus random workflows over
+// shards ∈ {1, 4} and the three sealing shapes (policy-mixed
+// hot/sealed, everything sealed, explicitly sealed), and checks
+// DeleteRun and image persistence against sealed runs.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@
 #include "common/random.h"
 #include "engine/builtin_activities.h"
 #include "lineage/engine.h"
+#include "lineage/forward_lineage.h"
 #include "lineage/index_proj_lineage.h"
 #include "lineage/naive_lineage.h"
 #include "provenance/trace_store.h"
@@ -78,15 +79,40 @@ const Variant kVariants[] = {
     {"explicit/1", CompressMode::kOff, 1, true},
 };
 
+/// The all-hot reference store every variant is compared against.
+Populated MakeAllHot(const Factory& make) {
+  TraceStoreOptions options;
+  options.shards = 1;                     // pin: immune to PROVLIN_TEST_SHARDS
+  options.compress = CompressMode::kOff;  // and PROVLIN_TEST_COMPRESS
+  return make(options);
+}
+
+/// Captures `make`'s trace into a store of shape `v`, sealing the rest of
+/// the hot tier where the shape asks for it.
+Populated MakeVariant(const Factory& make, const Variant& v) {
+  TraceStoreOptions options;
+  options.shards = v.shards;
+  options.compress = v.mode;
+  Populated p = make(options);
+  provenance::TraceStore* store = p.wb->store();
+  if (v.seal_rest) {
+    // Flush seals the remainder under kAlways; the explicit shape
+    // drives the public API directly.
+    if (v.mode == CompressMode::kAlways) {
+      EXPECT_TRUE(store->Flush().ok()) << v.name;
+    } else {
+      EXPECT_TRUE(store->SealAllRuns().ok()) << v.name;
+    }
+  }
+  return p;
+}
+
 /// Asserts that `make` produces identical answers on the all-hot store
 /// and on every sealed variant: bindings and logical probe counts from
 /// both engines and the reference NI, multi-run answers, EXPLAIN row
 /// counts, and the record totals themselves.
 void ExpectSealingIsPurelyPhysical(const Factory& make) {
-  TraceStoreOptions base_options;
-  base_options.shards = 1;        // pin: immune to PROVLIN_TEST_SHARDS
-  base_options.compress = CompressMode::kOff;  // and PROVLIN_TEST_COMPRESS
-  Populated base = make(base_options);
+  Populated base = MakeAllHot(make);
   ASSERT_NE(base.wb, nullptr);
   ASSERT_EQ(base.wb->store()->compress_mode(), CompressMode::kOff);
   ASSERT_EQ(base.wb->store()->ApproxMemory().sealed_rows, 0u);
@@ -100,22 +126,10 @@ void ExpectSealingIsPurelyPhysical(const Factory& make) {
   ASSERT_TRUE(base_ip.ok());
 
   for (const Variant& v : kVariants) {
-    TraceStoreOptions options;
-    options.shards = v.shards;
-    options.compress = v.mode;
-    Populated sealed = make(options);
+    Populated sealed = MakeVariant(make, v);
     ASSERT_NE(sealed.wb, nullptr);
     provenance::TraceStore* store = sealed.wb->store();
     ASSERT_EQ(store->compress_mode(), v.mode) << v.name;
-    if (v.seal_rest) {
-      // Flush seals the remainder under kAlways; the explicit shape
-      // drives the public API directly.
-      if (v.mode == CompressMode::kAlways) {
-        ASSERT_TRUE(store->Flush().ok()) << v.name;
-      } else {
-        ASSERT_TRUE(store->SealAllRuns().ok()) << v.name;
-      }
-    }
 
     // The sealed tier is actually in play, and no row is lost to it:
     // hot + sealed rows account for every xform/xfer row captured.
@@ -251,6 +265,60 @@ Populated MakeSynthetic(const TraceStoreOptions& options) {
 
 TEST(CompressEquivalence, Synthetic) {
   ExpectSealingIsPurelyPhysical(MakeSynthetic);
+}
+
+// Forward lineage takes its cost from the calling thread's probe counts,
+// which credit a sealed probe exactly like a hot one: the same forward
+// engine answers a sealed store with the all-hot bindings at the all-hot
+// probe count.
+TEST(CompressEquivalence, ForwardCostsDoNotDependOnTier) {
+  Populated base = MakeAllHot(MakeSynthetic);
+  ASSERT_NE(base.wb, nullptr);
+  NaiveForwardLineage base_ni(base.wb->store());
+  auto base_ip =
+      ForwardIndexProjLineage::Create(base.wb->flow(), base.wb->store());
+  ASSERT_TRUE(base_ip.ok());
+  const std::pair<PortRef, Index> targets[] = {
+      {{testbed::kListGen, "list"}, Index({1})},
+      {{"CHAINA_1", "x"}, Index({2})},
+  };
+  const InterestSet interests[] = {{}, {kWorkflowProcessor}};
+
+  for (const Variant& v : kVariants) {
+    Populated sealed = MakeVariant(MakeSynthetic, v);
+    ASSERT_NE(sealed.wb, nullptr);
+    NaiveForwardLineage se_ni(sealed.wb->store());
+    auto se_ip =
+        ForwardIndexProjLineage::Create(sealed.wb->flow(), sealed.wb->store());
+    ASSERT_TRUE(se_ip.ok());
+    for (const std::string& run : base.runs) {
+      for (const auto& [port, q] : targets) {
+        for (const InterestSet& interest : interests) {
+          const std::string tag = port.ToString() + q.ToString() +
+                                  " |P|=" + std::to_string(interest.size()) +
+                                  " run=" + run + " variant=" + v.name;
+          auto want_ni = base_ni.Query(run, port, q, interest);
+          auto got_ni = se_ni.Query(run, port, q, interest);
+          ASSERT_TRUE(want_ni.ok()) << tag;
+          ASSERT_TRUE(got_ni.ok()) << tag;
+          ASSERT_EQ(got_ni->bindings, want_ni->bindings) << "NI " << tag;
+          EXPECT_EQ(got_ni->timing.trace_probes,
+                    want_ni->timing.trace_probes)
+              << "NI " << tag;
+
+          auto want_ip = base_ip->Query(run, port, q, interest);
+          auto got_ip = se_ip->Query(run, port, q, interest);
+          ASSERT_TRUE(want_ip.ok()) << tag;
+          ASSERT_TRUE(got_ip.ok()) << tag;
+          ASSERT_EQ(got_ip->bindings, want_ip->bindings)
+              << "IndexProj " << tag;
+          EXPECT_EQ(got_ip->timing.trace_probes,
+                    want_ip->timing.trace_probes)
+              << "IndexProj " << tag;
+        }
+      }
+    }
+  }
 }
 
 TEST(CompressEquivalence, GK) {

@@ -136,17 +136,5 @@ TEST(Database, FailedLoadLeavesCatalogUntouched) {
   EXPECT_TRUE(db.GetTable("keep_me").ok());
 }
 
-TEST(Database, StatsAggregateAndReset) {
-  Database db;
-  Table* t = *db.CreateTable("t", SmallSchema());
-  ASSERT_TRUE(t->Insert({Datum("k"), Datum(int64_t{1})}).ok());
-  (void)t->FullScan();
-  TableStats stats = db.AggregateStats();
-  EXPECT_EQ(stats.inserts, 1u);
-  EXPECT_EQ(stats.full_scans, 1u);
-  db.ResetStats();
-  EXPECT_EQ(db.AggregateStats().inserts, 0u);
-}
-
 }  // namespace
 }  // namespace provlin::storage

@@ -168,15 +168,15 @@ TEST(RegistryTest, ConcurrentGetAndBumpIsSafe) {
 TEST(ExpositionTest, PrometheusTextGolden) {
   MetricsRegistry reg;
   reg.GetCounter("storage/index_probes")->Add(12);
-  reg.GetGauge("service/last_batch_wall_us")->Set(2500);
+  reg.GetGauge("server/queue_depth")->Set(2500);
   reg.GetHistogram("lineage/t2_ms", {1.0, 10.0})->Observe(0.5);
   reg.GetHistogram("lineage/t2_ms")->Observe(3.0);
   std::string text = reg.Snapshot().ToPrometheusText();
   EXPECT_EQ(text,
             "# TYPE provlin_storage_index_probes counter\n"
             "provlin_storage_index_probes 12\n"
-            "# TYPE provlin_service_last_batch_wall_us gauge\n"
-            "provlin_service_last_batch_wall_us 2500\n"
+            "# TYPE provlin_server_queue_depth gauge\n"
+            "provlin_server_queue_depth 2500\n"
             "# TYPE provlin_lineage_t2_ms histogram\n"
             "provlin_lineage_t2_ms_bucket{le=\"1\"} 1\n"
             "provlin_lineage_t2_ms_bucket{le=\"10\"} 2\n"

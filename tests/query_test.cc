@@ -242,7 +242,7 @@ TEST_F(QueryTest, MultiSelectAnswersEachQueryIdentically) {
 }
 
 TEST_F(QueryTest, MultiSelectAmortizesDescents) {
-  table_.ResetStats();
+  const ThreadStats before = ThisThreadStats();
   std::vector<SelectQuery> queries;
   for (int i = 0; i < 10; ++i) {
     SelectQuery q;
@@ -253,13 +253,13 @@ TEST_F(QueryTest, MultiSelectAmortizesDescents) {
   }
   auto r = ExecuteMultiSelect(table_, queries);
   ASSERT_TRUE(r.ok());
-  TableStats stats = table_.stats();
+  const ThreadStats& after = ThisThreadStats();
   // Logical probe accounting is untouched by batching...
-  EXPECT_EQ(stats.index_probes, 10u);
-  EXPECT_EQ(stats.batched_probes, 10u);
+  EXPECT_EQ(after.index_probes - before.index_probes, 10u);
+  EXPECT_EQ(after.batched_probes - before.batched_probes, 10u);
   // ...but the whole sorted batch descends far fewer than 10 times.
-  EXPECT_LT(stats.descents, 10u);
-  EXPECT_GE(stats.descents, 1u);
+  EXPECT_LT(after.descents - before.descents, 10u);
+  EXPECT_GE(after.descents - before.descents, 1u);
 }
 
 }  // namespace

@@ -74,7 +74,9 @@ TEST(Serialize, ReaderRejectsTruncationAtEveryLength) {
   w.WriteDatum(Datum(int64_t{12345}));
   const std::string& full = w.buffer();
   for (size_t len = 0; len < full.size(); ++len) {
-    BinaryReader r(full.substr(0, len));
+    // The reader keeps a view: the prefix must outlive it.
+    const std::string prefix = full.substr(0, len);
+    BinaryReader r(prefix);
     auto d1 = r.ReadDatum();
     if (!d1.ok()) {
       EXPECT_EQ(d1.status().code(), StatusCode::kCorruption);

@@ -10,9 +10,10 @@
 // pure function of what the readers admitted), and every wait is a
 // blocking Receive() on a response the server is guaranteed to send.
 //
-// ServerStats snapshots the process-wide registry, which accumulates
-// across the tests in this binary — every assertion is on a delta
-// against a snapshot taken right after the server under test started.
+// The server counts into the process-wide registry (server/*), which
+// accumulates across the tests in this binary — every assertion is on a
+// delta against a snapshot taken right after the server under test
+// started.
 
 #include "server/server.h"
 
@@ -60,14 +61,21 @@ std::string AnswerBytes(LineageAnswer answer) {
 }
 
 /// A served workbench: runs executed, both engines registered, server
-/// listening on an ephemeral loopback port. `before` is the stats
+/// listening on an ephemeral loopback port. `before` is the registry
 /// snapshot all assertions diff against.
 struct Served {
   std::unique_ptr<Workbench> wb;
   std::unique_ptr<LineageServer> server;
   std::vector<std::string> runs;
-  ServerStats before;
+  common::metrics::MetricsSnapshot before;
 };
+
+/// Growth of the counter server/<what> since `s`'s server started.
+uint64_t Delta(const Served& s, const std::string& what) {
+  const std::string name = "server/" + what;
+  return common::metrics::MetricsRegistry::Global().Snapshot().counter(name) -
+         s.before.counter(name);
+}
 
 Served StartSynthetic(size_t shards, ServerOptions options = {}) {
   Served s;
@@ -86,7 +94,7 @@ Served StartSynthetic(size_t shards, ServerOptions options = {}) {
   engines["indexproj"] = s.wb->Engine("indexproj");
   s.server = std::make_unique<LineageServer>(std::move(engines), options);
   EXPECT_TRUE(s.server->Start().ok());
-  s.before = s.server->stats();
+  s.before = common::metrics::MetricsRegistry::Global().Snapshot();
   return s;
 }
 
@@ -173,13 +181,11 @@ void ExpectServedMatchesInProcess(size_t shards) {
     EXPECT_EQ(failures[c], "") << "client " << c;
   }
 
-  ServerStats stats = s.server->stats();
-  EXPECT_EQ(stats.requests - s.before.requests, kClients * mix.size());
-  EXPECT_EQ(stats.responses_ok - s.before.responses_ok,
-            kClients * mix.size());
-  EXPECT_EQ(stats.responses_error, s.before.responses_error);
-  EXPECT_EQ(stats.overload_shed, s.before.overload_shed);
-  EXPECT_EQ(stats.bad_frames, s.before.bad_frames);
+  EXPECT_EQ(Delta(s, "requests"), kClients * mix.size());
+  EXPECT_EQ(Delta(s, "responses_ok"), kClients * mix.size());
+  EXPECT_EQ(Delta(s, "responses_error"), 0u);
+  EXPECT_EQ(Delta(s, "overload_shed"), 0u);
+  EXPECT_EQ(Delta(s, "bad_frames"), 0u);
   s.server->Stop();
 }
 
@@ -266,11 +272,9 @@ TEST(ServerTest, OverloadShedsDeterministically) {
     EXPECT_LE(response->request_id, options.max_queue);
   }
 
-  ServerStats stats = s.server->stats();
-  EXPECT_EQ(stats.requests - s.before.requests, kSent);
-  EXPECT_EQ(stats.overload_shed - s.before.overload_shed,
-            kSent - options.max_queue);
-  EXPECT_EQ(stats.responses_ok - s.before.responses_ok, options.max_queue);
+  EXPECT_EQ(Delta(s, "requests"), kSent);
+  EXPECT_EQ(Delta(s, "overload_shed"), kSent - options.max_queue);
+  EXPECT_EQ(Delta(s, "responses_ok"), options.max_queue);
   s.server->Stop();
 }
 
@@ -301,7 +305,7 @@ TEST(ServerTest, WrongVersionFrameGetsTypedError) {
         << int{version};
     EXPECT_EQ(response->request_id, 77u);
   }
-  EXPECT_EQ(s.server->stats().bad_frames - s.before.bad_frames, 2u);
+  EXPECT_EQ(Delta(s, "bad_frames"), 2u);
   s.server->Stop();
 }
 
@@ -328,7 +332,7 @@ TEST(ServerTest, MalformedPayloadGetsBadRequest) {
   EXPECT_FALSE(response->ok);
   EXPECT_EQ(response->code, wire::ErrorCode::kBadRequest);
   EXPECT_EQ(response->request_id, 123u);
-  EXPECT_EQ(s.server->stats().bad_frames - s.before.bad_frames, 1u);
+  EXPECT_EQ(Delta(s, "bad_frames"), 1u);
   s.server->Stop();
 }
 
@@ -432,9 +436,8 @@ TEST(ServerTest, StatsScrapeAnsweredWhileDispatchIsFrozen) {
 
   // Scrapes are accounted separately from requests: the request
   // counters still balance without them.
-  ServerStats after = s.server->stats();
-  EXPECT_EQ(after.stats_requests - s.before.stats_requests, 1u);
-  EXPECT_EQ(after.requests - s.before.requests, 3u);
+  EXPECT_EQ(Delta(s, "stats_requests"), 1u);
+  EXPECT_EQ(Delta(s, "requests"), 3u);
 
   s.server->ResumeDispatchForTest();
   for (int i = 0; i < 2; ++i) {
@@ -503,14 +506,11 @@ TEST(ServerTest, ConcurrentScrapesDuringTraffic) {
     EXPECT_EQ(failures[i], "") << "thread " << i;
   }
 
-  ServerStats stats = s.server->stats();
-  EXPECT_EQ(stats.requests - s.before.requests, kClients * mix.size());
-  EXPECT_EQ((stats.responses_ok - s.before.responses_ok) +
-                (stats.responses_error - s.before.responses_error) +
-                (stats.overload_shed - s.before.overload_shed),
-            stats.requests - s.before.requests);
-  EXPECT_EQ(stats.stats_requests - s.before.stats_requests,
-            static_cast<uint64_t>(kScrapes));
+  EXPECT_EQ(Delta(s, "requests"), kClients * mix.size());
+  EXPECT_EQ(Delta(s, "responses_ok") + Delta(s, "responses_error") +
+                Delta(s, "overload_shed"),
+            Delta(s, "requests"));
+  EXPECT_EQ(Delta(s, "stats_requests"), static_cast<uint64_t>(kScrapes));
   s.server->Stop();
 }
 
@@ -572,7 +572,7 @@ TEST(ServerTest, QueueDepthGaugeZeroAfterStopSheds) {
   // leave the gauge at zero, not frozen at the old occupancy.
   s.server->Stop();
   EXPECT_EQ(depth->Value(), 0);
-  EXPECT_EQ(s.server->stats().overload_shed - s.before.overload_shed, 5u);
+  EXPECT_EQ(Delta(s, "overload_shed"), 5u);
 }
 
 TEST(ServerTest, SlowLogRecordsEveryRequestAtThresholdZero) {
@@ -596,9 +596,7 @@ TEST(ServerTest, SlowLogRecordsEveryRequestAtThresholdZero) {
   ASSERT_TRUE(naive.ok());
   ASSERT_TRUE(naive->ok);
   s.server->Stop();
-  EXPECT_EQ(s.server->stats().slow_requests_logged -
-                s.before.slow_requests_logged,
-            2u);
+  EXPECT_EQ(Delta(s, "slow_requests_logged"), 2u);
 
   std::ifstream in(log_path);
   ASSERT_TRUE(in.is_open());
@@ -750,7 +748,7 @@ TEST(ServerTest, StopShedsQueuedRequests) {
   // responses may or may not reach the closing socket — liveness and
   // the shed accounting are what is guaranteed).
   s.server->Stop();
-  EXPECT_EQ(s.server->stats().overload_shed - s.before.overload_shed, 3u);
+  EXPECT_EQ(Delta(s, "overload_shed"), 3u);
 }
 
 }  // namespace

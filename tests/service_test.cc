@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "lineage/engine.h"
 #include "lineage/index_proj_lineage.h"
 #include "lineage/naive_lineage.h"
@@ -264,39 +266,62 @@ TEST_F(ServiceTest, MetricsAccumulateAcrossBatchesAndReset) {
 }
 
 TEST_F(ServiceTest, RegistrySnapshotMatchesInstanceMetrics) {
-  // The service mirrors every per-instance counter delta into the
-  // process-wide registry; with exactly one service in the process the
-  // two views must agree. (Each TEST runs in its own process under
-  // gtest_discover_tests, so the registry reset below cannot race other
-  // tests.)
-  common::metrics::MetricsRegistry::Global().Reset();
+  // Each quantity has one registry name, published by the tier that
+  // measures it: the service counts batches and requests, the engines
+  // count queries, probes, descents and plan-cache hits, and the trace
+  // store counts probe-memo traffic. With exactly one service in the
+  // process (each TEST runs in its own process under
+  // gtest_discover_tests) the registry deltas equal the instance view.
+  namespace metrics = common::metrics;
+  const metrics::MetricsSnapshot before =
+      metrics::MetricsRegistry::Global().Snapshot();
   LineageService service({/*num_threads=*/3, /*group_same_plan=*/true});
   std::vector<ServiceRequest> batch = MixedBatch();
   service.ExecuteBatch(batch);
   service.ExecuteBatch(batch);
+  const metrics::MetricsSnapshot after =
+      metrics::MetricsRegistry::Global().Snapshot();
+  auto delta = [&](const char* name) {
+    return after.counter(name) - before.counter(name);
+  };
 
   ServiceMetrics inst = service.metrics();
-  ServiceMetrics reg = ServiceMetrics::FromRegistrySnapshot(
-      common::metrics::MetricsRegistry::Global().Snapshot());
-
-  EXPECT_EQ(reg.batches, inst.batches);
-  EXPECT_EQ(reg.requests, inst.requests);
-  EXPECT_EQ(reg.failed_requests, inst.failed_requests);
-  EXPECT_EQ(reg.plan_cache_hits, inst.plan_cache_hits);
-  EXPECT_EQ(reg.trace_probes, inst.trace_probes);
-  EXPECT_EQ(reg.trace_descents, inst.trace_descents);
-  EXPECT_EQ(reg.probe_memo_hits, inst.probe_memo_hits);
-  EXPECT_EQ(reg.probe_memo_lookups, inst.probe_memo_lookups);
-  // The ms totals are histogram sums of the same observations; addition
-  // order differs, so allow for rounding. The batch-wall gauge stores
-  // whole microseconds.
-  EXPECT_NEAR(reg.total_queue_wait_ms, inst.total_queue_wait_ms, 1e-6);
-  EXPECT_NEAR(reg.total_exec_ms, inst.total_exec_ms, 1e-6);
-  EXPECT_NEAR(reg.last_batch_wall_ms, inst.last_batch_wall_ms, 2e-3);
-  // Worker attribution is per-service state the registry does not keep.
-  EXPECT_TRUE(reg.per_thread_probes.empty());
+  EXPECT_EQ(delta("service/batches"), inst.batches);
+  EXPECT_EQ(delta("service/requests"), inst.requests);
+  EXPECT_EQ(delta("service/failed_requests"), inst.failed_requests);
+  EXPECT_EQ(delta("lineage/queries"),
+            inst.requests - inst.failed_requests);
+  EXPECT_EQ(delta("lineage/trace_probes"), inst.trace_probes);
+  EXPECT_EQ(delta("lineage/trace_descents"), inst.trace_descents);
+  EXPECT_EQ(delta("lineage/plan_cache_hits"), inst.plan_cache_hits);
+  EXPECT_EQ(delta("provenance/memo_hits"), inst.probe_memo_hits);
+  EXPECT_EQ(delta("provenance/memo_lookups"), inst.probe_memo_lookups);
+  // The queue-wait total is a histogram sum of the same observations;
+  // addition order differs, so allow for rounding.
+  EXPECT_NEAR(after.histogram_sum("service/queue_wait_ms") -
+                  before.histogram_sum("service/queue_wait_ms"),
+              inst.total_queue_wait_ms, 1e-6);
+  // No second name restates an engine or store count: the service owns
+  // exactly these instruments.
+  std::set<std::string> service_names;
+  auto collect = [&](const auto& instruments) {
+    for (const auto& entry : instruments) {
+      if (entry.first.rfind("service/", 0) == 0) {
+        service_names.insert(entry.first);
+      }
+    }
+  };
+  collect(after.counters);
+  collect(after.gauges);
+  collect(after.histograms);
+  EXPECT_EQ(service_names,
+            (std::set<std::string>{"service/batch_wall_ms", "service/batches",
+                                   "service/failed_requests",
+                                   "service/queue_wait_ms",
+                                   "service/requests"}));
   EXPECT_GT(inst.requests, 0u);
   EXPECT_GT(inst.trace_probes, 0u);
+  EXPECT_GT(inst.probe_memo_lookups, 0u);
 }
 
 TEST_F(ServiceTest, EngineInterfaceReportsNames) {

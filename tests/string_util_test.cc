@@ -80,5 +80,28 @@ TEST(ParseDouble, RejectsGarbage) {
   EXPECT_FALSE(ParseDouble("abc", &v));
 }
 
+TEST(JsonEscape, PrintableBytesPassThrough) {
+  EXPECT_EQ(JsonEscape(""), "");
+  EXPECT_EQ(JsonEscape("plain text / 123 {}[]:,"), "plain text / 123 {}[]:,");
+  // Bytes >= 0x20 are copied as they are, DEL and UTF-8 included.
+  EXPECT_EQ(JsonEscape("\x7f\xc3\xa9"), "\x7f\xc3\xa9");
+}
+
+TEST(JsonEscape, QuoteAndBackslashAreEscaped) {
+  EXPECT_EQ(JsonEscape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
+}
+
+TEST(JsonEscape, NewlineReturnAndTabGetShortEscapes) {
+  EXPECT_EQ(JsonEscape("a\nb\rc\td"), "a\\nb\\rc\\td");
+}
+
+TEST(JsonEscape, OtherControlBytesBecomeUnicodeEscapes) {
+  EXPECT_EQ(JsonEscape(std::string("\0", 1)), "\\u0000");
+  EXPECT_EQ(JsonEscape("\x01\x08\x0b\x0c\x1f"),
+            "\\u0001\\u0008\\u000b\\u000c\\u001f");
+  EXPECT_EQ(JsonEscape(" "), " ");  // 0x20 is the first byte kept as is
+}
+
 }  // namespace
 }  // namespace provlin
