@@ -9,7 +9,7 @@
 #include "common/timer.h"
 #include "common/tracing.h"
 #include "lineage/binding_retrieval.h"
-#include "lineage/index_projection.h"
+#include "workflow/port_space.h"
 
 namespace provlin::lineage {
 
@@ -27,61 +27,81 @@ Result<IndexProjLineage> IndexProjLineage::Create(
     const provenance::TraceStore* store) {
   PROVLIN_ASSIGN_OR_RETURN(workflow::DepthMap depths,
                            workflow::PropagateDepths(*dataflow));
-  return IndexProjLineage(std::move(dataflow), std::move(depths), store);
+  size_t length_cap = 0;
+  for (const Processor& proc : dataflow->processors()) {
+    for (const auto& [port, slot] : depths.ForProcessor(proc.name).slots) {
+      length_cap = std::max(length_cap, slot.offset + slot.length);
+    }
+  }
+  return IndexProjLineage(std::move(dataflow), std::move(depths), length_cap,
+                          store);
 }
 
 namespace {
 
-/// Alg. 2 traversal state. The traversal itself walks the spec graph by
-/// name (processor/port names come from the Dataflow), but every emitted
-/// TraceQuery and every dedup key is interned immediately: the planner
-/// pays the string→id cost once at plan time so that plan execution and
-/// re-execution (multi-run, cached plans) are pure integer work.
-class Planner {
+/// Which side of `target` the walk starts on: true for Y ∈ O_P (a
+/// processor output, or a workflow input read as a source), false for an
+/// input port (a processor input, or a workflow output).
+Result<bool> StartsAtOutput(const Dataflow& flow, const PortRef& target) {
+  if (target.processor == kWorkflowProcessor) {
+    if (flow.FindWorkflowOutput(target.port) != nullptr) return false;
+    if (flow.FindWorkflowInput(target.port) != nullptr) return true;
+    return Status::NotFound("no workflow port '" + target.port + "'");
+  }
+  const Processor* proc = flow.FindProcessor(target.processor);
+  if (proc == nullptr) {
+    return Status::NotFound("no processor '" + target.processor + "'");
+  }
+  if (proc->FindOutput(target.port) != nullptr) return true;
+  if (proc->FindInput(target.port) != nullptr) return false;
+  return Status::NotFound("no port " + target.ToString());
+}
+
+}  // namespace
+
+/// Alg. 2 for every q of one length and every 𝒫 at once. Indices are
+/// (offset, length) slices of q: projection cuts a slice of a slice and
+/// VisitInput passes it on unchanged, so the walk's shape depends on |q|
+/// alone. 𝒫 never prunes the walk, so every port Alg. 2 would emit a
+/// query at becomes a candidate, tagged with its processor. A revisit is
+/// pruned on (port, slice, via). Equal slices cut equal indices, so this
+/// prunes no more than a walk over concrete indices does. Where distinct
+/// slices cut equal indices (q with repeated components) the walk
+/// re-enters a subtree whose queries were all emitted already, because
+/// the graph is a DAG, and instantiation drops them again.
+class IndexProjLineage::TemplateBuilder {
  public:
-  Planner(const Dataflow& flow, const workflow::DepthMap& depths,
-          const InterestSet& interest, const provenance::TraceStore& store)
+  TemplateBuilder(const Dataflow& flow, const workflow::DepthMap& depths,
+                  const provenance::TraceStore& store, size_t length)
       : flow_(flow),
+        ports_(flow.Ports()),
         depths_(depths),
         store_(store),
-        // Interest names are interned up front (the planner interns
-        // every spec name it walks anyway), so the per-visit interest
-        // check is the id-space IsInteresting overload.
-        interest_(InterestIds::Resolve(
-            interest, [&store](const std::string& name) {
-              return std::optional<SymbolId>(store.Intern(name));
-            })) {}
+        length_(length),
+        visited_(ports_.size()) {}
 
-  /// Y ∈ O_P case: apply the projection rule, emit trace queries at
-  /// interesting processors, continue through the inputs. `via` names
-  /// the consuming input port the traversal arrived through (null for a
-  /// direct query on a workflow input).
-  Status VisitOutput(const PortRef& port, const Index& q,
+  /// Y ∈ O_P case: apply the projection rule, record a candidate per
+  /// input, continue through the inputs. `via` names the consuming input
+  /// port the walk arrived through (null for a direct query on a
+  /// workflow input).
+  Status VisitOutput(const PortRef& port, Slice s,
                      const PortRef* via = nullptr) {
     ++steps_;
-    SymbolId via_proc = kNoSymbol;
-    SymbolId via_port = kNoSymbol;
-    if (via != nullptr) {
-      via_proc = store_.Intern(via->processor);
-      via_port = store_.Intern(via->port);
-    }
-    SymbolId proc_sym = store_.Intern(port.processor);
-    auto key = std::make_tuple(proc_sym, store_.Intern(port.port),
-                               store_.InternIndex(q), via_proc, via_port,
-                               /*output=*/true);
-    if (!visited_.insert(key).second) return Status::OK();
+    PROVLIN_ASSIGN_OR_RETURN(bool first,
+                             FirstVisit(port, /*output=*/true, s, via));
+    if (!first) return Status::OK();
+    const SymbolId proc_sym = store_.Intern(port.processor);
     if (port.processor == kWorkflowProcessor) {
       // Reached a top-level workflow input: a lineage source.
-      if (IsInteresting(interest_, proc_sym)) {
-        TraceQuery tq;
-        tq.processor = proc_sym;
-        tq.port = store_.Intern(port.port);
-        tq.index = q;
-        tq.workflow_source = true;
-        tq.via_processor = via_proc;
-        tq.via_port = via_port;
-        AddQuery(std::move(tq));
+      TraceQuery tq;
+      tq.processor = proc_sym;
+      tq.port = store_.Intern(port.port);
+      tq.workflow_source = true;
+      if (via != nullptr) {
+        tq.via_processor = store_.Intern(via->processor);
+        tq.via_port = store_.Intern(via->port);
       }
+      AddCandidate({std::move(tq), s});
       return Status::OK();
     }
     const Processor* proc = flow_.FindProcessor(port.processor);
@@ -90,115 +110,143 @@ class Planner {
                               "' in workflow '" + flow_.name() + "'");
     }
     const workflow::ProcessorDepths& pd = depths_.ForProcessor(proc->name);
-    std::vector<Index> projected = ProjectOutputIndex(*proc, pd, q);
-    bool interesting = IsInteresting(interest_, proc_sym);
-    for (size_t i = 0; i < proc->inputs.size(); ++i) {
-      if (interesting) {
-        TraceQuery tq;
-        tq.processor = proc_sym;
-        tq.port = store_.Intern(proc->inputs[i].name);
-        tq.index = projected[i];
-        AddQuery(std::move(tq));
-      }
-      PROVLIN_RETURN_IF_ERROR(VisitInput(
-          PortRef{proc->name, proc->inputs[i].name}, projected[i]));
+    for (const workflow::Port& in : proc->inputs) {
+      TraceQuery tq;
+      tq.processor = proc_sym;
+      tq.port = store_.Intern(in.name);
+      const Slice sub = Project(s, pd, in.name);
+      AddCandidate({std::move(tq), sub});
+      PROVLIN_RETURN_IF_ERROR(VisitInput(PortRef{proc->name, in.name}, sub));
     }
     return Status::OK();
   }
 
-  /// Y ∉ O_P case: follow the arcs backwards with the index unchanged.
-  Status VisitInput(const PortRef& port, const Index& p) {
+  /// Y ∉ O_P case: follow the arcs backwards with the slice unchanged.
+  Status VisitInput(const PortRef& port, Slice s) {
     ++steps_;
-    auto key = std::make_tuple(store_.Intern(port.processor),
-                               store_.Intern(port.port),
-                               store_.InternIndex(p), kNoSymbol, kNoSymbol,
-                               /*output=*/false);
-    if (!visited_.insert(key).second) return Status::OK();
+    PROVLIN_ASSIGN_OR_RETURN(bool first,
+                             FirstVisit(port, /*output=*/false, s, nullptr));
+    if (!first) return Status::OK();
     for (const workflow::Arc* arc : flow_.ArcsInto(port)) {
-      PROVLIN_RETURN_IF_ERROR(VisitOutput(arc->src, p, &port));
+      PROVLIN_RETURN_IF_ERROR(VisitOutput(arc->src, s, &port));
     }
     return Status::OK();
   }
 
-  LineagePlan TakePlan() {
-    LineagePlan plan;
-    plan.queries = std::move(queries_);
+  PlanTemplate TakeTemplate() {
+    PlanTemplate plan;
+    plan.candidates = std::move(candidates_);
     plan.graph_steps = steps_;
     return plan;
   }
 
  private:
-  void AddQuery(TraceQuery q) {
-    auto key = std::make_tuple(q.processor, q.port, store_.InternIndex(q.index),
-                               q.via_processor, q.via_port);
-    if (query_keys_.insert(key).second) queries_.push_back(std::move(q));
+  /// One visit of a port; the port itself is the visited_ slot.
+  struct Visit {
+    bool output;
+    Slice slice;
+    workflow::PortSlotId via;
+  };
+
+  /// Def. 4 on a slice, clipped where q runs out exactly as
+  /// ProjectOutputIndex clips a concrete index. An empty fragment is
+  /// always {0, 0}, so equal slices are equal fragments.
+  Slice Project(Slice s, const workflow::ProcessorDepths& pd,
+                const std::string& port) const {
+    auto it = pd.slots.find(port);
+    if (it == pd.slots.end()) return Slice{0, 0};
+    const size_t have = s.length == Slice::kToEnd ? length_ : s.length;
+    const size_t begin = std::min(it->second.offset, have);
+    const size_t take = std::min(it->second.length, have - begin);
+    if (take == 0) return Slice{0, 0};
+    return Slice{static_cast<uint32_t>(s.offset + begin),
+                 static_cast<uint32_t>(take)};
   }
 
-  using VisitKey =
-      std::tuple<SymbolId, SymbolId, IndexId, SymbolId, SymbolId, bool>;
-  using QueryKey = std::tuple<SymbolId, SymbolId, IndexId, SymbolId, SymbolId>;
+  /// Marks (port, side, slice, via) visited; false if it already was.
+  Result<bool> FirstVisit(const PortRef& port, bool output, Slice s,
+                          const PortRef* via) {
+    const workflow::PortSlotId slot = ports_.Find(port);
+    if (slot == workflow::kNoPortSlot) {
+      return Status::NotFound("no port " + port.ToString() +
+                              " in workflow '" + flow_.name() + "'");
+    }
+    const workflow::PortSlotId via_slot =
+        via == nullptr ? workflow::kNoPortSlot : ports_.Find(*via);
+    std::vector<Visit>& seen = visited_[slot];
+    for (const Visit& v : seen) {
+      if (v.output == output && v.slice == s && v.via == via_slot) {
+        return false;
+      }
+    }
+    seen.push_back({output, s, via_slot});
+    return true;
+  }
+
+  /// Records `c` unless an equal candidate exists: an output reached
+  /// through two consumers is walked once per consumer.
+  void AddCandidate(Candidate c) {
+    if (std::find(candidates_.begin(), candidates_.end(), c) ==
+        candidates_.end()) {
+      candidates_.push_back(std::move(c));
+    }
+  }
 
   const Dataflow& flow_;
+  const workflow::PortSpace& ports_;
   const workflow::DepthMap& depths_;
   const provenance::TraceStore& store_;
-  InterestIds interest_;
-  std::set<VisitKey> visited_;
-  std::set<QueryKey> query_keys_;
-  std::vector<TraceQuery> queries_;
+  const size_t length_;
+  /// Visits per PortSlotId: a port is reached with few (slice, via)s.
+  std::vector<std::vector<Visit>> visited_;
+  std::vector<Candidate> candidates_;
   uint64_t steps_ = 0;
 };
 
-}  // namespace
-
-std::vector<uint64_t> IndexProjLineage::MakePlanKey(
-    const PortRef& target, const Index& q, const InterestSet& interest) const {
-  std::vector<uint64_t> key;
-  key.reserve(3 + interest.size());
-  key.push_back(store_->Intern(target.processor));
-  key.push_back(store_->Intern(target.port));
-  key.push_back(store_->InternIndex(q));
-  std::vector<uint64_t> interest_syms;
-  interest_syms.reserve(interest.size());
-  for (const std::string& p : interest) {
-    interest_syms.push_back(store_->Intern(p));
-  }
-  std::sort(interest_syms.begin(), interest_syms.end());
-  key.insert(key.end(), interest_syms.begin(), interest_syms.end());
-  return key;
+Result<IndexProjLineage::PlanKey> IndexProjLineage::MakePlanKey(
+    const PortRef& target, const Index& q) const {
+  // Validate before interning: a request that names no port of the
+  // dataflow must not grow the store's symbol table.
+  PROVLIN_RETURN_IF_ERROR(StartsAtOutput(*dataflow_, target).status());
+  return PlanKey{store_->Intern(target.processor),
+                 store_->Intern(target.port),
+                 std::min(q.length(), length_cap_)};
 }
 
-Result<LineagePlan> IndexProjLineage::BuildPlan(
-    const PortRef& target, const Index& q,
-    const InterestSet& interest) const {
-  Planner planner(*dataflow_, depths_, interest, *store_);
-  if (target.processor == kWorkflowProcessor) {
-    if (dataflow_->FindWorkflowOutput(target.port) != nullptr) {
-      PROVLIN_RETURN_IF_ERROR(planner.VisitInput(target, q));
-    } else if (dataflow_->FindWorkflowInput(target.port) != nullptr) {
-      PROVLIN_RETURN_IF_ERROR(planner.VisitOutput(target, q));
-    } else {
-      return Status::NotFound("no workflow port '" + target.port + "'");
-    }
-  } else {
-    const Processor* proc = dataflow_->FindProcessor(target.processor);
-    if (proc == nullptr) {
-      return Status::NotFound("no processor '" + target.processor + "'");
-    }
-    if (proc->FindOutput(target.port) != nullptr) {
-      PROVLIN_RETURN_IF_ERROR(planner.VisitOutput(target, q));
-    } else if (proc->FindInput(target.port) != nullptr) {
-      PROVLIN_RETURN_IF_ERROR(planner.VisitInput(target, q));
-    } else {
-      return Status::NotFound("no port " + target.ToString());
+Result<IndexProjLineage::PlanTemplate> IndexProjLineage::BuildTemplate(
+    const PortRef& target, size_t length) const {
+  PROVLIN_ASSIGN_OR_RETURN(bool at_output,
+                           StartsAtOutput(*dataflow_, target));
+  TemplateBuilder builder(*dataflow_, depths_, *store_, length);
+  const Slice whole;
+  PROVLIN_RETURN_IF_ERROR(at_output ? builder.VisitOutput(target, whole)
+                                    : builder.VisitInput(target, whole));
+  return builder.TakeTemplate();
+}
+
+LineagePlan IndexProjLineage::Instantiate(const PlanTemplate& plan,
+                                          const Index& q,
+                                          const InterestIds& interest) {
+  LineagePlan out;
+  out.graph_steps = plan.graph_steps;
+  for (const Candidate& c : plan.candidates) {
+    if (!IsInteresting(interest, c.query.processor)) continue;
+    TraceQuery tq = c.query;
+    tq.index = c.slice.length == Slice::kToEnd
+                   ? q
+                   : q.SubIndex(c.slice.offset, c.slice.length);
+    if (std::find(out.queries.begin(), out.queries.end(), tq) ==
+        out.queries.end()) {
+      out.queries.push_back(std::move(tq));
     }
   }
-  return planner.TakePlan();
+  return out;
 }
 
 Result<std::shared_ptr<const LineagePlan>> IndexProjLineage::Plan(
     const PortRef& target, const Index& q, const InterestSet& interest,
     bool* cache_hit) const {
-  std::vector<uint64_t> key = MakePlanKey(target, q, interest);
+  PROVLIN_ASSIGN_OR_RETURN(const PlanKey key, MakePlanKey(target, q));
 
   // Fast path: shared lock, entry already present.
   std::shared_ptr<CacheEntry> entry;
@@ -214,17 +262,20 @@ Result<std::shared_ptr<const LineagePlan>> IndexProjLineage::Plan(
     entry = it->second;
   }
 
-  // Exactly one thread per entry runs the s1 traversal; contenders block
-  // here until the plan (or its failure) is recorded.
+  // Exactly one thread per entry runs the s1 walk; contenders block here
+  // until the template (or its failure) is recorded.
   bool built_here = false;
   std::call_once(entry->once, [&] {
     built_here = true;
     PROVLIN_TRACE_SPAN_VAR(span, "indexproj/plan_build");
-    if (span.active()) span.SetArgs("target=" + target.ToString());
+    if (span.active()) {
+      span.SetArgs("target=" + target.ToString() +
+                   " length=" + std::to_string(key[2]));
+    }
     cache_->builds.fetch_add(1, std::memory_order_relaxed);
     static auto* builds = common::metrics::GetCounter("lineage/plan_builds");
     builds->Increment();
-    Result<LineagePlan> plan = BuildPlan(target, q, interest);
+    Result<PlanTemplate> plan = BuildTemplate(target, key[2]);
     if (plan.ok()) {
       entry->plan = std::move(plan).value();
     } else {
@@ -235,18 +286,23 @@ Result<std::shared_ptr<const LineagePlan>> IndexProjLineage::Plan(
   if (!built_here) cache_->hits.fetch_add(1, std::memory_order_relaxed);
 
   if (!entry->build_status.ok()) {
-    // Evict failed builds so the error is not sticky (e.g. a target that
-    // becomes valid after a different workflow is loaded elsewhere).
+    // Evict failed builds so the error is not sticky.
     Status st = entry->build_status;
     common::WriterLock lock(cache_->mu);
     cache_->EraseEntryIfCurrent(key, entry);
     return st;
   }
-  return std::shared_ptr<const LineagePlan>(entry, &entry->plan);
+  // 𝒫 is resolved only now, by lookup: the build interned every spec
+  // name the walk reached, so a name the symbol table lacks matches no
+  // candidate, and a request cannot grow the table.
+  const InterestIds ids = InterestIds::Resolve(
+      interest,
+      [this](const std::string& name) { return store_->LookupSymbol(name); });
+  return std::make_shared<const LineagePlan>(Instantiate(entry->plan, q, ids));
 }
 
 void IndexProjLineage::PlanCache::EraseEntryIfCurrent(
-    const std::vector<uint64_t>& key,
+    const PlanKey& key,
     const std::shared_ptr<CacheEntry>& entry) {
   auto it = entries.find(key);
   if (it != entries.end() && it->second == entry) entries.erase(it);

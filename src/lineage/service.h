@@ -20,12 +20,16 @@ struct ServiceOptions {
   /// Fixed worker-pool size.
   size_t num_threads = 4;
   /// When set, requests of one batch that resolve to the same plan
-  /// (same engine, target, index, and interest set) are chained onto one
-  /// worker task, so the first request warms the plan and the rest reuse
-  /// it without even touching the cache lock — the §3.4 "plan once,
-  /// execute per run" sharing, generalized to whole batches. Turning it
-  /// off dispatches every request independently, which maximizes
-  /// parallelism (and plan-cache contention — exercised by tests).
+  /// (same engine, target, index, and interest set; the runs may differ)
+  /// are chained onto one worker task. The first builds the plan
+  /// template if it is missing and fills the batch's probe memo; the
+  /// rest then run after it instead of blocking on that build or racing
+  /// it for the same probes on other workers. The key stays the whole
+  /// plan, not the template's (target, |q|): requests on one target
+  /// share a template, and grouping by it would chain them all onto one
+  /// worker. Turning it off dispatches every request independently,
+  /// which maximizes parallelism (and template-cache contention —
+  /// exercised by tests).
   bool group_same_plan = true;
   /// When set, all workers of one batch share a probe memo: identical
   /// trace probes (same kind, run, port, index) issued by different

@@ -1,8 +1,13 @@
 // Lineage engines on hand-built workflows: the paper's Fig. 3 example,
 // focused/unfocused behaviour, granularity loss at coarse processors,
-// plan caching.
+// template caching, and what a request may add to the symbol table.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "engine/builtin_activities.h"
 #include "lineage/index_proj_lineage.h"
@@ -160,6 +165,7 @@ TEST(Lineage, QueryFromIntermediatePort) {
 
 TEST(Lineage, UnknownTargetsFailCleanly) {
   auto wb = Fig3();
+  const provenance::TraceStore& store = *wb->store();
   EXPECT_FALSE(
       wb->IndexProj()->Query(LineageRequest::SingleRun("run", {"ghost", "Y"}, Index(), {})).ok());
   EXPECT_FALSE(
@@ -167,6 +173,38 @@ TEST(Lineage, UnknownTargetsFailCleanly) {
   EXPECT_FALSE(wb->IndexProj()
                    ->Query(LineageRequest::SingleRun("run", {kWorkflowProcessor, "ghost"}, Index(), {}))
                    .ok());
+  // Nothing a request names is interned before it is validated: an
+  // unknown target is NotFound and leaves the symbol table as it was.
+  const std::vector<PortRef> unknown = {{"NO_SUCH_PROC_", "zz_port"},
+                                        {"P", "zz_p_port"},
+                                        {kWorkflowProcessor, "zz_wf_port"}};
+  for (const PortRef& target : unknown) {
+    auto answer = wb->IndexProj()->Query(
+        LineageRequest::SingleRun("run", target, Index({0}), {"Q"}));
+    EXPECT_EQ(answer.status().code(), StatusCode::kNotFound)
+        << target.ToString();
+    auto plan = wb->IndexProj()->Plan(target, Index({0}), {"Q"});
+    EXPECT_EQ(plan.status().code(), StatusCode::kNotFound);
+  }
+  EXPECT_EQ(store.LookupSymbol("NO_SUCH_PROC_"), std::nullopt);
+  EXPECT_EQ(store.LookupSymbol("zz_port"), std::nullopt);
+  EXPECT_EQ(store.LookupSymbol("zz_p_port"), std::nullopt);
+  EXPECT_EQ(store.LookupSymbol("zz_wf_port"), std::nullopt);
+  // An unknown 𝒫 name is interesting nowhere and is not interned either.
+  for (int i = 0; i < 3; ++i) {
+    const std::string garbage = "GARBAGE_" + std::to_string(i);
+    auto answer = wb->IndexProj()->Query(LineageRequest::SingleRun(
+        "run", {"P", "Y1"}, Index({0, 0}), {garbage}));
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_TRUE(answer->bindings.empty());
+    EXPECT_EQ(store.LookupSymbol(garbage), std::nullopt) << garbage;
+  }
+  auto mixed = wb->IndexProj()->Query(LineageRequest::SingleRun(
+      "run", {"P", "Y1"}, Index({0, 0}), {"GARBAGE_9", "Q"}));
+  ASSERT_TRUE(mixed.ok());
+  ASSERT_EQ(mixed->bindings.size(), 1u);
+  EXPECT_EQ(mixed->bindings[0].port.ToString(), "Q:X");
+  EXPECT_EQ(store.LookupSymbol("GARBAGE_9"), std::nullopt);
   // NI on a nonexistent port finds nothing (empty, not an error — the
   // trace simply has no matching events).
   auto ni = wb->Naive().Query(LineageRequest::SingleRun("run", {"ghost", "Y"}, Index(), {}));
@@ -195,12 +233,63 @@ TEST(Lineage, PlanCacheHitsOnRepeatedQueries) {
   EXPECT_TRUE(second->timing.plan_cache_hit);
   EXPECT_EQ(first->bindings, second->bindings);
   EXPECT_EQ(wb->IndexProj()->plan_cache_size(), 1u);
-  // A different interest set is a different plan.
-  ASSERT_TRUE(wb->IndexProj()
-                  ->Query(LineageRequest::SingleRun("run", {"P", "Y1"}, Index({0, 0}),
-                          InterestSet{"R"}))
-                  .ok());
+  // A different interest set or index of the same length instantiates
+  // the same template: still one entry, and a hit.
+  auto other_interest = wb->IndexProj()->Query(LineageRequest::SingleRun(
+      "run", {"P", "Y1"}, Index({0, 0}), InterestSet{"R"}));
+  ASSERT_TRUE(other_interest.ok());
+  EXPECT_TRUE(other_interest->timing.plan_cache_hit);
+  auto other_index = wb->IndexProj()->Query(LineageRequest::SingleRun(
+      "run", {"P", "Y1"}, Index({2, 1}), InterestSet{"Q"}));
+  ASSERT_TRUE(other_index.ok());
+  EXPECT_TRUE(other_index->timing.plan_cache_hit);
+  EXPECT_EQ(wb->IndexProj()->plan_cache_size(), 1u);
+  // A different length is a different template.
+  auto shorter = wb->IndexProj()->Query(LineageRequest::SingleRun(
+      "run", {"P", "Y1"}, Index({0}), InterestSet{"Q"}));
+  ASSERT_TRUE(shorter.ok());
+  EXPECT_FALSE(shorter->timing.plan_cache_hit);
   EXPECT_EQ(wb->IndexProj()->plan_cache_size(), 2u);
+}
+
+/// The longest slot end of any processor: the length past which the
+/// template cache keys every |q| alike.
+size_t LongestSlotEnd(const workflow::Dataflow& flow,
+                      const workflow::DepthMap& depths) {
+  size_t cap = 0;
+  for (const workflow::Processor& proc : flow.processors()) {
+    for (const auto& [port, slot] : depths.ForProcessor(proc.name).slots) {
+      cap = std::max(cap, slot.offset + slot.length);
+    }
+  }
+  return cap;
+}
+
+TEST(Lineage, PlanCacheIsBoundedByIndexLength) {
+  // The wire admits indices of up to 2^20 components; a longer q than
+  // any projection reads must reuse a template, not add one.
+  auto wb = Workbench::Synthetic(3);
+  ASSERT_TRUE(wb.ok());
+  ASSERT_TRUE((*wb)->RunSynthetic(3, "r0").ok());
+  IndexProjLineage* ip = (*wb)->IndexProj();
+  ip->ClearPlanCache();
+  const size_t cap = LongestSlotEnd(*(*wb)->flow(), ip->depths());
+  ASSERT_EQ(cap, 2u);  // RESULT crosses two lists
+  PortRef result{kWorkflowProcessor, "RESULT"};
+  std::vector<LineageBinding> at_cap;
+  for (size_t len = 0; len <= 64; ++len) {
+    auto answer = ip->Query(LineageRequest::SingleRun(
+        "r0", result, Index(std::vector<int32_t>(len, 1)), {}));
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    if (len == cap) at_cap = answer->bindings;
+    // Components past the iteration depth are dropped (Def. 4).
+    if (len > cap) {
+      EXPECT_EQ(answer->bindings, at_cap) << "|q|=" << len;
+    }
+  }
+  EXPECT_FALSE(at_cap.empty());
+  EXPECT_LE(ip->plan_cache_size(), cap + 1);
+  EXPECT_EQ(ip->plans_built(), ip->plan_cache_size());
 }
 
 TEST(Lineage, PlanListsOneQueryPerInterestingProcessorInput) {

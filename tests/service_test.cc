@@ -1,6 +1,6 @@
 // The concurrent batch lineage service: batch answers must be exactly
 // the sequential answers, the shared plan cache must build each distinct
-// plan once even under contention, and cache maintenance must be safe
+// template once even under contention, and cache maintenance must be safe
 // while queries are in flight.
 
 #include "lineage/service.h"
@@ -143,25 +143,28 @@ TEST_F(ServiceTest, ExactlyOneBuildPerDistinctKeyUnderContention) {
   uint64_t builds_before = engine->plans_built();
   uint64_t hits_before = engine->plan_cache_hits();
 
-  // 64 requests over exactly 4 distinct plan keys, dispatched one task
-  // per request (no grouping) on 8 workers — maximal cache contention.
+  // 64 requests over exactly 2 distinct template keys — workflow:RESULT
+  // at |q| = 2 and at |q| = 0 — with the index, 𝒫 and run varying
+  // across requests, dispatched one task per request (no grouping) on 8
+  // workers: maximal cache contention.
   PortRef result{kWorkflowProcessor, "RESULT"};
-  std::vector<LineageRequest> distinct = {
-      LineageRequest::SingleRun(synth_runs_[0], result, Index({1, 2}),
-                                {testbed::kListGen}),
-      LineageRequest::SingleRun(synth_runs_[0], result, Index({0, 1}),
-                                {testbed::kListGen}),
-      LineageRequest::SingleRun(synth_runs_[0], result, Index({1, 2}), {}),
-      LineageRequest::SingleRun(synth_runs_[0], result, Index(), {}),
-  };
+  const std::vector<InterestSet> interests = {
+      {testbed::kListGen},
+      {},
+      {kWorkflowProcessor},
+      {testbed::kListGen, kWorkflowProcessor}};
+  constexpr size_t kTemplates = 2;
   std::vector<ServiceRequest> batch;
-  for (int rep = 0; rep < 16; ++rep) {
-    for (size_t k = 0; k < distinct.size(); ++k) {
-      // Vary the run so grouping could not collapse them anyway.
-      LineageRequest req = distinct[k];
-      req.runs = {synth_runs_[static_cast<size_t>(rep) % synth_runs_.size()]};
-      batch.push_back({engine, req});
-    }
+  for (int rep = 0; rep < 32; ++rep) {
+    const std::string& run =
+        synth_runs_[static_cast<size_t>(rep) % synth_runs_.size()];
+    const InterestSet& interest =
+        interests[static_cast<size_t>(rep) % interests.size()];
+    batch.push_back({engine, LineageRequest::SingleRun(
+                                 run, result, Index({rep % 3, rep / 11}),
+                                 interest)});
+    batch.push_back(
+        {engine, LineageRequest::SingleRun(run, result, Index(), interest)});
   }
   ASSERT_EQ(batch.size(), 64u);
 
@@ -173,10 +176,10 @@ TEST_F(ServiceTest, ExactlyOneBuildPerDistinctKeyUnderContention) {
 
   // The acceptance criterion: one build per distinct key, every other
   // request a cache hit, nothing lost and nothing built twice.
-  EXPECT_EQ(engine->plans_built() - builds_before, distinct.size());
+  EXPECT_EQ(engine->plans_built() - builds_before, kTemplates);
   EXPECT_EQ(engine->plan_cache_hits() - hits_before,
-            batch.size() - distinct.size());
-  EXPECT_EQ(engine->plan_cache_size(), distinct.size());
+            batch.size() - kTemplates);
+  EXPECT_EQ(engine->plan_cache_size(), kTemplates);
 }
 
 TEST_F(ServiceTest, PlanCacheMaintenanceSafeUnderConcurrentQueries) {
