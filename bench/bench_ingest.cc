@@ -8,6 +8,13 @@
 // insert serializes on one writer; with N shards the writers apply in
 // parallel and throughput should scale until insert cost stops
 // dominating.
+//
+// One more configuration measures sealed capture (DESIGN.md §13): one
+// producer writes the runs one at a time, synchronously, into a
+// 4-shard --compress seal store, opening each run with InsertRun just
+// before its rows as the recorder does. Each run is appended unindexed
+// and sealed straight from the table tail when the next run on its
+// shard opens.
 
 #include <cstdint>
 #include <cstdio>
@@ -44,10 +51,12 @@ int main() {
   // interned) outside the timer, producers split the runs round-robin,
   // and the clock stops after Flush() — every row applied, not merely
   // enqueued.
-  auto ingest_once = [&](size_t shards, bool async) -> Result<double> {
+  auto ingest_once = [&](size_t shards, bool async,
+                         bool seal) -> Result<double> {
     provenance::StoreOptions options;  // empty db_path = in-memory
     options.shards = shards;
     options.async_ingest = async;
+    if (seal) options.compress = provenance::CompressMode::kSeal;
     PROVLIN_ASSIGN_OR_RETURN(provenance::OpenedStore opened,
                              provenance::OpenStore(options));
     TraceStore& store = opened.store();
@@ -82,7 +91,30 @@ int main() {
       }
     }
 
+    // Takes the elapsed time, then checks outside the timed span that
+    // every row landed.
+    auto verified = [&](double ms) -> Result<double> {
+      PROVLIN_ASSIGN_OR_RETURN(provenance::TraceCounts counts,
+                               store.CountAllRecords());
+      if (counts.xform_rows != kTotalRows) {
+        return Status::Internal("ingest dropped rows: " +
+                                std::to_string(counts.xform_rows) + " of " +
+                                std::to_string(kTotalRows));
+      }
+      return ms;
+    };
+
     WallTimer timer;
+    if (seal) {
+      for (size_t r = 0; r < kRunsTotal; ++r) {
+        PROVLIN_RETURN_IF_ERROR(store.InsertRun(run_ids[r], "bench"));
+        for (const XformRecord& rec : streams[r]) {
+          PROVLIN_RETURN_IF_ERROR(store.InsertXform(rec));
+        }
+      }
+      PROVLIN_RETURN_IF_ERROR(store.Flush());
+      return verified(timer.ElapsedMillis());
+    }
     for (size_t r = 0; r < kRunsTotal; ++r) {
       PROVLIN_RETURN_IF_ERROR(store.InsertRun(run_ids[r], "bench"));
     }
@@ -104,22 +136,13 @@ int main() {
     for (std::thread& t : producers) t.join();
     for (const Status& st : outcomes) PROVLIN_RETURN_IF_ERROR(st);
     PROVLIN_RETURN_IF_ERROR(store.Flush());
-    double ms = timer.ElapsedMillis();
-
-    PROVLIN_ASSIGN_OR_RETURN(provenance::TraceCounts counts,
-                             store.CountAllRecords());
-    if (counts.xform_rows != kTotalRows) {
-      return Status::Internal("ingest dropped rows: " +
-                              std::to_string(counts.xform_rows) + " of " +
-                              std::to_string(kTotalRows));
-    }
-    return ms;
+    return verified(timer.ElapsedMillis());
   };
 
-  auto best_of = [&](size_t shards, bool async) -> double {
+  auto best_of = [&](size_t shards, bool async, bool seal = false) -> double {
     double best = -1.0;
     for (int i = 0; i < kReps; ++i) {
-      double ms = CheckResult(ingest_once(shards, async), "ingest");
+      double ms = CheckResult(ingest_once(shards, async, seal), "ingest");
       if (best < 0 || ms < best) best = ms;
     }
     return best;
@@ -149,6 +172,9 @@ int main() {
     row("async", shards, ms, async1_ms);
     json.Add("async_shards" + std::to_string(shards), ms, kTotalRows, 0);
   }
+  double seal_ms = best_of(4, /*async=*/false, /*seal=*/true);
+  row("sync+seal", 4, seal_ms, async1_ms);
+  json.Add("sync_seal_shards4", seal_ms, kTotalRows, 0);
   table.Print();
   json.Write();
   return 0;

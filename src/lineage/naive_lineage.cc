@@ -23,9 +23,11 @@ namespace {
 /// an arc (case 2).
 enum class Side { kOutput, kInput };
 
-/// ID-space traversal state: processors, ports, and runs are SymbolIds
-/// and indexes are dense IndexIds, so the visited set and the frontier
-/// compare integers. Strings only reappear in the reported bindings.
+/// ID-space traversal state: processors, ports, and runs are SymbolIds,
+/// so the visited set and the frontier compare integers and index paths.
+/// The visited set keys on the index path itself: it needs equality
+/// within one query only, and must not grow the store's saved index
+/// dictionary. Strings only reappear in the reported bindings.
 ///
 /// One Traversal may span several runs: the visited set and every
 /// frontier entry are run-qualified, and each level's probes for *all*
@@ -72,8 +74,7 @@ class Traversal {
       for (Pending& item : frontier) {
         ++steps_;
         auto key = std::make_tuple(item.run, item.processor, item.port,
-                                   store_.InternIndex(item.index),
-                                   item.side == Side::kOutput);
+                                   item.index, item.side == Side::kOutput);
         if (!visited_.insert(key).second) continue;
         (item.side == Side::kOutput ? out_items : in_items)
             .push_back(std::move(item));
@@ -164,8 +165,7 @@ class Traversal {
   InterestIds interest_;
   std::map<SymbolId, std::string> run_names_;
   std::vector<Pending> frontier_;
-  std::set<std::tuple<SymbolId, SymbolId, SymbolId, common::IndexId, bool>>
-      visited_;
+  std::set<std::tuple<SymbolId, SymbolId, SymbolId, Index, bool>> visited_;
   std::vector<LineageBinding> bindings_;
   uint64_t steps_ = 0;
 };

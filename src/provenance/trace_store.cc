@@ -1,6 +1,7 @@
 #include "provenance/trace_store.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -413,6 +414,17 @@ struct TraceStore::Shard {
     Row row;
   };
 
+  /// One sealable trace table: its segment kind, its blob-key base, the
+  /// index whose (run) prefix enumerates a run's rows, and its sealed
+  /// segments.
+  struct TraceSide {
+    Table* table;
+    Segment::Kind kind;
+    const char* base;
+    const char* run_index;
+    std::map<SymbolId, std::shared_ptr<const Segment>>* sealed;
+  };
+
   size_t id = 0;
   // Physical tables of this shard, cached at Open (stable thereafter).
   Table* runs = nullptr;
@@ -456,6 +468,11 @@ struct TraceStore::Shard {
       GUARDED_BY(data_mu);
   std::map<SymbolId, std::shared_ptr<const Segment>> sealed_xfer
       GUARDED_BY(data_mu);
+  /// Under a sealing mode, the one run whose trace rows Apply appends
+  /// unindexed (Table::Append): a run with no indexed hot trace rows.
+  /// Every pending row of xform/xfer is the tail run's; kNoSymbol when
+  /// there is no tail run.
+  SymbolId tail_run GUARDED_BY(data_mu) = common::kNoSymbol;
 
   // Per-shard observability (satellite: surfaced by `stats`).
   common::metrics::Counter* rows_ctr = nullptr;
@@ -486,6 +503,35 @@ struct TraceStore::Shard {
 
   const Table* ProbeTableFor(const char* base) const {
     return std::strcmp(base, tables::kXform) == 0 ? xform : xfer;
+  }
+
+  std::array<TraceSide, 2> TraceSides() REQUIRES(data_mu) {
+    return {{{xform, Segment::Kind::kXform, tables::kXform,
+              indexes::kXformEvent, &sealed_xform},
+             {xfer, Segment::Kind::kXfer, tables::kXfer, indexes::kXferDst,
+              &sealed_xfer}}};
+  }
+
+  bool IsSealed(SymbolId run) const REQUIRES_SHARED(data_mu) {
+    return sealed_xform.count(run) > 0 || sealed_xfer.count(run) > 0;
+  }
+
+  /// Indexes the tail run's pending rows; the run then has indexed hot
+  /// rows, so it stops being the tail.
+  void IndexTail() REQUIRES(data_mu) {
+    xform->IndexPending();
+    xfer->IndexPending();
+    tail_run = common::kNoSymbol;
+  }
+
+  /// Whether `run` has indexed hot trace rows: one prefix probe per
+  /// trace table. Requires no rows pending.
+  Result<bool> HasIndexedRows(SymbolId run) const REQUIRES_SHARED(data_mu) {
+    const storage::Key key{SymDatum(run)};
+    PROVLIN_ASSIGN_OR_RETURN(bool in_xform,
+                             xform->IndexHasPrefix(indexes::kXformEvent, key));
+    if (in_xform) return true;
+    return xfer->IndexHasPrefix(indexes::kXferDst, key);
   }
 
   /// The sealed segment answering probes against `base` for `run`, or
@@ -547,67 +593,81 @@ struct TraceStore::Rep {
 
   Shard* ShardForSym(SymbolId run) { return shards[ShardIdOfSym(run)].get(); }
 
-  /// Seals one run's trace rows into compressed segments: encode each
-  /// table's rows, delete them from the hot tier, park the encoded
-  /// bytes in the database's blob catalog (so Save persists them).
-  /// Idempotent; a run with no trace rows seals to nothing.
+  /// Builds one side's segment for `run` from its rows (in insertion
+  /// order) and parks it: the blob catalog holds the bytes (so Save
+  /// persists them) and probes route to it. The caller takes the rows
+  /// out of the hot tier. No rows, no segment.
+  Status ParkSegmentLocked(Shard* s, const Shard::TraceSide& side,
+                           SymbolId run, const std::string& run_name,
+                           const std::vector<Row>& rows) REQUIRES(s->data_mu) {
+    if (rows.empty()) return Status::OK();
+    PROVLIN_ASSIGN_OR_RETURN(
+        Segment seg, Segment::Build(side.kind, static_cast<uint64_t>(run), rows));
+    auto shared = std::make_shared<const Segment>(std::move(seg));
+    db->PutBlob(SegmentBlobKey(side.base, s->id, run_name),
+                shared->shared_bytes());
+    s->segment_rows_g->Add(static_cast<int64_t>(shared->num_rows()));
+    s->segment_bytes_g->Add(static_cast<int64_t>(shared->bytes().size()));
+    s->hot_rows_g->Add(-static_cast<int64_t>(shared->num_rows()));
+    s->segments_ctr->Increment();
+    side.sealed->emplace(run, std::move(shared));
+    return Status::OK();
+  }
+
+  /// Seals the shard's tail run from the rows Table::TakeTail moves out
+  /// of the heap: no scan, no copy, no index erase, no tombstone. The
+  /// rows come out in insertion order, so the segments are byte-equal to
+  /// sealing the same run from indexed rows.
+  Status SealTailLocked(Shard* s) REQUIRES(s->data_mu) {
+    const SymbolId run = s->tail_run;
+    if (run == common::kNoSymbol) return Status::OK();
+    s->tail_run = common::kNoSymbol;
+    const std::string& run_name = db->symbols().NameOf(run);
+    for (const Shard::TraceSide& side : s->TraceSides()) {
+      PROVLIN_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                               side.table->TakeTail(side.table->pending_begin()));
+      PROVLIN_RETURN_IF_ERROR(ParkSegmentLocked(s, side, run, run_name, rows));
+    }
+    return Status::OK();
+  }
+
+  /// Seals one run's trace rows into compressed segments. The tail run
+  /// seals from the heap tail. Any other hot run's rows are indexed:
+  /// they are found by a (run) prefix range, copied in rid order (the
+  /// order the tail path and a heap scan meet them in), parked as
+  /// segments and deleted from the hot tier. Idempotent; a run with no
+  /// trace rows seals to nothing.
   Status SealRunLocked(Shard* s, SymbolId run_sym, const std::string& run_name)
       REQUIRES(s->data_mu) {
-    if (s->sealed_xform.count(run_sym) > 0 ||
-        s->sealed_xfer.count(run_sym) > 0) {
-      return Status::OK();
-    }
-    const Datum run_datum = SymDatum(run_sym);
-    struct Side {
-      Table* table;
-      Segment::Kind kind;
-      const char* base;
-      std::map<SymbolId, std::shared_ptr<const Segment>>* sealed;
-    };
-    const Side sides[] = {
-        {s->xform, Segment::Kind::kXform, tables::kXform, &s->sealed_xform},
-        {s->xfer, Segment::Kind::kXfer, tables::kXfer, &s->sealed_xfer}};
-    for (const Side& side : sides) {
-      std::vector<uint64_t> rids;
-      std::vector<Row> rows;
-      side.table->ForEachLiveRow([&](uint64_t rid, const Row& row) {
-        if (row[0] == run_datum) {
-          rids.push_back(rid);
-          rows.push_back(row);
-        }
-      });
-      if (rows.empty()) continue;
+    if (s->IsSealed(run_sym)) return Status::OK();
+    if (run_sym == s->tail_run) return SealTailLocked(s);
+    // The range reads below refuse while the tail's rows are pending.
+    s->IndexTail();
+    const storage::Key run_key{SymDatum(run_sym)};
+    for (const Shard::TraceSide& side : s->TraceSides()) {
       PROVLIN_ASSIGN_OR_RETURN(
-          Segment seg,
-          Segment::Build(side.kind, static_cast<uint64_t>(run_sym), rows));
+          std::vector<uint64_t> rids,
+          side.table->IndexPrefixLookup(side.run_index, run_key));
+      std::sort(rids.begin(), rids.end());
+      std::vector<Row> rows;
+      rows.reserve(rids.size());
+      for (uint64_t rid : rids) rows.push_back(*side.table->PeekRow(rid));
+      PROVLIN_RETURN_IF_ERROR(
+          ParkSegmentLocked(s, side, run_sym, run_name, rows));
       for (uint64_t rid : rids) {
         PROVLIN_RETURN_IF_ERROR(side.table->Delete(rid));
       }
-      auto shared = std::make_shared<const Segment>(std::move(seg));
-      db->PutBlob(SegmentBlobKey(side.base, s->id, run_name),
-                  shared->shared_bytes());
-      s->segment_rows_g->Add(static_cast<int64_t>(shared->num_rows()));
-      s->segment_bytes_g->Add(static_cast<int64_t>(shared->bytes().size()));
-      s->hot_rows_g->Add(-static_cast<int64_t>(shared->num_rows()));
-      s->segments_ctr->Increment();
-      side.sealed->emplace(run_sym, std::move(shared));
     }
     return Status::OK();
   }
 
   /// Reverses SealRunLocked: decode the run's segments back into the
-  /// hot tables and drop the blobs. No WAL append and no ingest
-  /// counters — the rows were logged and counted when first inserted.
+  /// hot tables (indexed) and drop the blobs. No WAL append and no
+  /// ingest counters — the rows were logged and counted when first
+  /// inserted.
   Status UnsealRunLocked(Shard* s, SymbolId run_sym) REQUIRES(s->data_mu) {
     const std::string& run_name = db->symbols().NameOf(run_sym);
-    struct Side {
-      Table* table;
-      const char* base;
-      std::map<SymbolId, std::shared_ptr<const Segment>>* sealed;
-    };
-    const Side sides[] = {{s->xform, tables::kXform, &s->sealed_xform},
-                          {s->xfer, tables::kXfer, &s->sealed_xfer}};
-    for (const Side& side : sides) {
+    for (const Shard::TraceSide& side : s->TraceSides()) {
       auto it = side.sealed->find(run_sym);
       if (it == side.sealed->end()) continue;
       const Segment& seg = *it->second;
@@ -624,11 +684,25 @@ struct TraceStore::Rep {
     return Status::OK();
   }
 
-  /// Seals every run on `s` except `skip_run` (nullptr = seal all).
-  /// Runs that never minted a symbol have no trace rows and are
-  /// skipped.
+  /// Seals every run on `s` except `skip_run` (nullptr = seal all). A
+  /// recorded tail run seals from the heap tail. The sweep of the runs
+  /// table (a symbol lookup and a string copy per run) runs only while
+  /// indexed hot trace rows are left to seal. Runs that never minted a
+  /// symbol have no trace rows and are skipped.
   Status SealShardRunsLocked(Shard* s, const std::string* skip_run)
       REQUIRES(s->data_mu) {
+    if (s->tail_run != common::kNoSymbol) {
+      const std::string& tail = db->symbols().NameOf(s->tail_run);
+      if (skip_run == nullptr || tail != *skip_run) {
+        PROVLIN_ASSIGN_OR_RETURN(
+            std::vector<uint64_t> recorded,
+            s->runs->IndexLookup(indexes::kRunsById, {Datum(tail)}));
+        if (!recorded.empty()) PROVLIN_RETURN_IF_ERROR(SealTailLocked(s));
+      }
+    }
+    if (s->xform->num_indexed_rows() == 0 && s->xfer->num_indexed_rows() == 0) {
+      return Status::OK();
+    }
     std::vector<std::pair<SymbolId, std::string>> to_seal;
     s->runs->ForEachLiveRow([&](uint64_t, const Row& row) {
       const std::string& run_name = row[0].AsString();
@@ -642,8 +716,24 @@ struct TraceStore::Rep {
     return Status::OK();
   }
 
-  /// WAL append + table insert of one pending row, on `s`.
-  Status Apply(Shard* s, const Shard::Pending& p) REQUIRES(s->data_mu) {
+  /// A trace row of `run` arrived while `run` is not the shard's tail
+  /// run: the old tail's rows get indexed (it stops being the tail), a
+  /// sealed `run` is pulled back into the hot tier first (late writes:
+  /// out-of-order capture, replayed rows), and under a sealing mode
+  /// `run` becomes the new tail when it has no indexed hot rows.
+  Status RetargetTailLocked(Shard* s, SymbolId run) REQUIRES(s->data_mu) {
+    s->IndexTail();
+    if (s->IsSealed(run)) return UnsealRunLocked(s, run);
+    if (compress == CompressMode::kOff) return Status::OK();
+    PROVLIN_ASSIGN_OR_RETURN(bool indexed, s->HasIndexedRows(run));
+    if (!indexed) s->tail_run = run;
+    return Status::OK();
+  }
+
+  /// WAL append + table write of one pending row, on `s`. The tail
+  /// run's trace rows are appended unindexed; every other row is
+  /// inserted.
+  Status Apply(Shard* s, Shard::Pending&& p) REQUIRES(s->data_mu) {
     if (s->owned_wal.has_value()) {
       const common::SymbolTable& symbols = db->symbols();
       while (s->wal_syms_logged < symbols.size()) {
@@ -659,16 +749,20 @@ struct TraceStore::Rep {
       w.WriteRow(p.row);
       PROVLIN_RETURN_IF_ERROR(s->owned_wal->Append(w.buffer()));
     }
-    // Late writes to a sealed run (out-of-order capture, replayed
-    // rows) transparently pull the run back into the hot tier first.
-    if ((p.tag == kTagXform || p.tag == kTagXfer) &&
-        (!s->sealed_xform.empty() || !s->sealed_xfer.empty())) {
+    Table* table = s->TableFor(p.tag);
+    bool append = false;
+    if (p.tag == kTagXform || p.tag == kTagXfer) {
       const SymbolId run = SymOf(p.row[0]);
-      if (s->sealed_xform.count(run) > 0 || s->sealed_xfer.count(run) > 0) {
-        PROVLIN_RETURN_IF_ERROR(UnsealRunLocked(s, run));
+      if (run != s->tail_run) {
+        PROVLIN_RETURN_IF_ERROR(RetargetTailLocked(s, run));
       }
+      append = run == s->tail_run;
     }
-    PROVLIN_RETURN_IF_ERROR(s->TableFor(p.tag)->Insert(p.row).status());
+    if (append) {
+      PROVLIN_RETURN_IF_ERROR(table->Append(std::move(p.row)).status());
+    } else {
+      PROVLIN_RETURN_IF_ERROR(table->Insert(p.row).status());
+    }
     s->rows_ctr->Increment();
     s->hot_rows_g->Add(1);
     rows_ingested->Increment();
@@ -694,8 +788,9 @@ struct TraceStore::Rep {
     return Apply(s, {tag, std::move(row)});
   }
 
-  /// Read barrier: waits until everything enqueued on `s` before this
-  /// call has been applied, then reports the shard's latched status.
+  /// Ingest barrier: waits until everything enqueued on `s` before
+  /// this call has been applied, then reports the shard's latched
+  /// status.
   Status Drain(Shard* s) const {
     if (!async) return Status::OK();
     common::MutexLock lock(s->ingest_mu);
@@ -703,6 +798,39 @@ struct TraceStore::Rep {
     while (s->applied < target) s->drained_cv.Wait(s->ingest_mu);
     return s->ingest_status;
   }
+
+  /// The read barrier (DESIGN.md §13): drains the shard's async ingest,
+  /// then holds its reader lock with no trace rows pending. While a
+  /// sealing-mode capture has left rows pending, it trades the reader
+  /// lock for the writer lock, indexes them, and takes the reader lock
+  /// again; so a read never probes an index that refuses it, and never
+  /// fails because a writer appended after it looked. Serving, which
+  /// never appends, pays one branch.
+  class SCOPED_CAPABILITY ReadLock {
+   public:
+    ReadLock(const Rep& rep, Shard* s) ACQUIRE_SHARED(s->data_mu)
+        : s_(s), status_(rep.Drain(s)) {
+      s->data_mu.LockShared();
+      while (s->xform->has_pending() || s->xfer->has_pending()) {
+        s->data_mu.UnlockShared();
+        {
+          common::WriterLock data(s->data_mu);
+          s->IndexTail();
+        }
+        s->data_mu.LockShared();
+      }
+    }
+    ~ReadLock() RELEASE() { s_->data_mu.UnlockShared(); }
+    ReadLock(const ReadLock&) = delete;
+    ReadLock& operator=(const ReadLock&) = delete;
+
+    /// The shard's latched ingest status, as Drain reports it.
+    const Status& status() const { return status_; }
+
+   private:
+    Shard* s_;
+    Status status_;
+  };
 
   /// Dedicated writer: drains the queue in batches, holding the shard's
   /// exclusive data lock only while applying.
@@ -719,8 +847,8 @@ struct TraceStore::Rep {
       Status st = Status::OK();
       {
         common::WriterLock data(s->data_mu);
-        for (const Shard::Pending& p : batch) {
-          if (st.ok()) st = Apply(s, p);
+        for (Shard::Pending& p : batch) {
+          if (st.ok()) st = Apply(s, std::move(p));
         }
       }
       {
@@ -1022,8 +1150,7 @@ TraceStore::TierBytes TraceStore::ApproxMemory() const {
   TierBytes tb;
   for (auto& shard : rep_->shards) {
     Shard* s = shard.get();
-    (void)rep_->Drain(s);
-    common::ReaderLock data(s->data_mu);
+    Rep::ReadLock data(*rep_, s);
     tb.hot_bytes +=
         s->xform->ApproxMemoryUsage() + s->xfer->ApproxMemoryUsage();
     tb.hot_rows += s->xform->num_rows() + s->xfer->num_rows();
@@ -1277,8 +1404,18 @@ Result<size_t> TraceStore::DeleteRun(const std::string& run_id) {
     ++removed;
   }
   // The trace tables key everything by the run symbol in column 0; a run
-  // that never minted a symbol has no trace rows to sweep.
+  // that never minted a symbol has no trace rows to sweep. The tail
+  // run's rows leave with the heap tail, without tombstones; the sweep
+  // finds any other run's rows (pending rows are the tail's alone).
   if (run_sym.has_value()) {
+    if (*run_sym == s->tail_run) {
+      s->tail_run = common::kNoSymbol;
+      for (Table* table : {s->xform, s->xfer}) {
+        PROVLIN_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                                 table->TakeTail(table->pending_begin()));
+        removed += rows.size();
+      }
+    }
     Datum run_datum = SymDatum(*run_sym);
     for (Table* table : {s->val, s->xform, s->xfer}) {
       std::vector<uint64_t> to_delete;
@@ -1400,8 +1537,9 @@ Result<std::vector<Record>> TraceStore::FindOneImpl(
     const Index& idx) const {
   PROVLIN_TRACE_SPAN("trace/find");
   ProbeMemo* memo = ProbeMemoScope::Active();
-  ProbeMemo::Key key{kind, run, pair.Packed(), InternIndex(idx)};
+  ProbeMemo::Key key;
   if (memo != nullptr) {
+    key = ProbeMemo::Key{rep_->db, kind, run, pair.Packed(), idx};
     memo->lookups_.fetch_add(1, std::memory_order_relaxed);
     MemoMx().lookups->Increment();
     common::MutexLock lock(memo->mu_);
@@ -1415,13 +1553,13 @@ Result<std::vector<Record>> TraceStore::FindOneImpl(
   }
   const size_t shard_id = rep_->ShardIdOfSym(run);
   Shard* s = rep_->shards[shard_id].get();
-  PROVLIN_RETURN_IF_ERROR(rep_->Drain(s));
-  s->probes_ctr->Increment();
   std::vector<Record> out;
   ProbeBreakdown* breakdown = ProbeBreakdownScope::Active();
   const storage::ThreadStats before = storage::ThisThreadStats();
   {
-    common::ReaderLock data(s->data_mu);
+    Rep::ReadLock data(*rep_, s);
+    PROVLIN_RETURN_IF_ERROR(data.status());
+    s->probes_ctr->Increment();
     if (const Segment* seg = s->SealedSegFor(table, run)) {
       // Sealed run: answer in place on the compressed segment.
       Segment::Scratch scratch;
@@ -1475,9 +1613,9 @@ Result<std::vector<std::vector<Record>>> TraceStore::FindBatchImpl(
   } else {
     keys.reserve(probes.size());
     for (const PortProbe& p : probes) {
-      keys.push_back(ProbeMemo::Key{kind, p.run,
+      keys.push_back(ProbeMemo::Key{rep_->db, kind, p.run,
                                     IdPair{p.processor, p.port}.Packed(),
-                                    InternIndex(p.index)});
+                                    p.index});
     }
     memo->lookups_.fetch_add(probes.size(), std::memory_order_relaxed);
     MemoMx().lookups->Add(probes.size());
@@ -1516,9 +1654,9 @@ Result<std::vector<std::vector<Record>>> TraceStore::FindBatchImpl(
                        uint64_t* sealed_probes,
                        uint64_t* sealed_rows) -> Status {
     Shard* s = rep_->shards[shard_id].get();
-    PROVLIN_RETURN_IF_ERROR(rep_->Drain(s));
+    Rep::ReadLock data(*rep_, s);
+    PROVLIN_RETURN_IF_ERROR(data.status());
     s->probes_ctr->Add(idxs.size());
-    common::ReaderLock data(s->data_mu);
     // Split the shard's probes by tier: sealed runs answer on their
     // compressed segments, the rest flatten into one MultiSelect pass
     // over the hot tables. Results land in caller-ordered slots either
@@ -1768,8 +1906,8 @@ Result<std::vector<XformRecord>> TraceStore::ScanXforms(
   if (!run_sym.has_value()) return out;
   Datum run_datum = SymDatum(*run_sym);
   Shard* s = rep_->ShardForRun(run);
-  PROVLIN_RETURN_IF_ERROR(rep_->Drain(s));
-  common::ReaderLock data(s->data_mu);
+  Rep::ReadLock data(*rep_, s);
+  PROVLIN_RETURN_IF_ERROR(data.status());
   if (const Segment* seg = s->SealedSegFor(tables::kXform, *run_sym)) {
     // Ordinal order is insertion order — the same order the hot scan
     // discovers the run's rows in.
@@ -1792,8 +1930,8 @@ Result<std::vector<XferRecord>> TraceStore::ScanXfers(
   if (!run_sym.has_value()) return out;
   Datum run_datum = SymDatum(*run_sym);
   Shard* s = rep_->ShardForRun(run);
-  PROVLIN_RETURN_IF_ERROR(rep_->Drain(s));
-  common::ReaderLock data(s->data_mu);
+  Rep::ReadLock data(*rep_, s);
+  PROVLIN_RETURN_IF_ERROR(data.status());
   if (const Segment* seg = s->SealedSegFor(tables::kXfer, *run_sym)) {
     PROVLIN_ASSIGN_OR_RETURN(std::vector<Row> rows, seg->DecodeAllRows());
     out.reserve(rows.size());
@@ -1810,8 +1948,8 @@ Result<std::vector<XferRecord>> TraceStore::ScanXfers(
 Result<std::string> TraceStore::GetValueRepr(SymbolId run,
                                              int64_t value_id) const {
   Shard* s = rep_->ShardForSym(run);
-  PROVLIN_RETURN_IF_ERROR(rep_->Drain(s));
-  common::ReaderLock data(s->data_mu);
+  Rep::ReadLock data(*rep_, s);
+  PROVLIN_RETURN_IF_ERROR(data.status());
   PROVLIN_ASSIGN_OR_RETURN(
       std::vector<uint64_t> rids,
       s->val->IndexLookup(indexes::kValById, {SymDatum(run), Datum(value_id)}));
@@ -1845,8 +1983,8 @@ Result<TraceCounts> TraceStore::CountRecords(const std::string& run) const {
   if (!run_sym.has_value()) return counts;
   Datum run_datum = SymDatum(*run_sym);
   Shard* s = rep_->ShardForRun(run);
-  PROVLIN_RETURN_IF_ERROR(rep_->Drain(s));
-  common::ReaderLock data(s->data_mu);
+  Rep::ReadLock data(*rep_, s);
+  PROVLIN_RETURN_IF_ERROR(data.status());
   auto count_in = [&](const Table* t) -> Result<size_t> {
     size_t n = 0;
     for (uint64_t rid : t->FullScan()) {
@@ -1873,8 +2011,8 @@ Result<TraceCounts> TraceStore::CountAllRecords() const {
   TraceCounts counts;
   for (auto& shard : rep_->shards) {
     Shard* s = shard.get();
-    PROVLIN_RETURN_IF_ERROR(rep_->Drain(s));
-    common::ReaderLock data(s->data_mu);
+    Rep::ReadLock data(*rep_, s);
+    PROVLIN_RETURN_IF_ERROR(data.status());
     counts.xform_rows += s->xform->num_rows();
     counts.xfer_rows += s->xfer->num_rows();
     counts.value_rows += s->val->num_rows();

@@ -96,8 +96,12 @@ class ProbeMemo {
 
  private:
   friend class TraceStore;
-  /// (probe kind, run, packed (processor, port), index id).
-  using Key = std::tuple<int, SymbolId, uint64_t, IndexId>;
+  /// (database, probe kind, run, packed (processor, port), index). Ids
+  /// are scoped to a database, and one batch may span stores. The index
+  /// path itself, not an interned id: a batch needs only equality, and
+  /// must not grow the store's saved index dictionary.
+  using Key =
+      std::tuple<const storage::Database*, int, SymbolId, uint64_t, Index>;
 
   /// Selects the map for a record type; REQUIRES makes every access
   /// site prove it holds the memo mutex (the maps are only reachable
@@ -213,7 +217,8 @@ enum class CompressMode {
   kOff = 0,
   /// Seal cold runs: at Open every run except the latest per shard,
   /// and at InsertRun every prior run on the new run's shard. The run
-  /// being captured stays hot.
+  /// being captured stays hot; a run captured alone on its shard is
+  /// held unindexed and sealed straight from the table's tail.
   kSeal = 1,
   /// Seal every run, including the latest, at Open and on Flush().
   /// Maximal footprint reduction; appends pay an unseal.
@@ -289,7 +294,8 @@ class TraceStore {
 
   /// Drains every shard's ingest queue and returns the first latched
   /// ingest error (resetting none — a failed store stays failed).
-  /// A no-op returning OK for synchronous stores.
+  /// Under kAlways it then seals every run; under kSeal it leaves the
+  /// latest run's rows as they are (unindexed until a read needs them).
   Status Flush();
 
   // --- compressed segment tier (DESIGN.md §13) -----------------------------

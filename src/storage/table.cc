@@ -48,6 +48,7 @@ Status Table::CreateIndex(const IndexSpec& spec) {
   if (HasIndex(spec.name)) {
     return Status::AlreadyExists("index '" + spec.name + "' already exists");
   }
+  IndexPending();
   SecondaryIndex idx;
   idx.spec = spec;
   PROVLIN_ASSIGN_OR_RETURN(idx.column_idx,
@@ -85,13 +86,7 @@ std::vector<IndexSpec> Table::indexes() const {
   return out;
 }
 
-Result<uint64_t> Table::Insert(const Row& row) {
-  PROVLIN_RETURN_IF_ERROR(schema_.ValidateRow(row));
-  uint64_t rid = rows_.size();
-  rows_.push_back(row);
-  deleted_.push_back(false);
-  ++live_rows_;
-  Mx().inserts->Increment();
+void Table::AddToIndexes(const Row& row, uint64_t rid) {
   for (auto& idx : indexes_) {
     Key key = ExtractKey(row, idx);
     if (idx.btree != nullptr) {
@@ -100,20 +95,75 @@ Result<uint64_t> Table::Insert(const Row& row) {
       idx.hash->Insert(key, rid);
     }
   }
+}
+
+Result<uint64_t> Table::Insert(const Row& row) {
+  PROVLIN_RETURN_IF_ERROR(schema_.ValidateRow(row));
+  IndexPending();
+  uint64_t rid = rows_.size();
+  rows_.push_back(row);
+  deleted_.push_back(false);
+  ++live_rows_;
+  pending_begin_ = rows_.size();
+  Mx().inserts->Increment();
+  AddToIndexes(row, rid);
   return rid;
+}
+
+Result<uint64_t> Table::Append(Row row) {
+  PROVLIN_RETURN_IF_ERROR(schema_.ValidateRow(row));
+  uint64_t rid = rows_.size();
+  rows_.push_back(std::move(row));
+  deleted_.push_back(false);
+  ++live_rows_;
+  ++pending_rows_;
+  Mx().inserts->Increment();
+  return rid;
+}
+
+void Table::IndexPending() {
+  for (uint64_t rid = pending_begin_; rid < rows_.size(); ++rid) {
+    if (!deleted_[rid]) AddToIndexes(rows_[rid], rid);
+  }
+  pending_begin_ = rows_.size();
+  pending_rows_ = 0;
+}
+
+Result<std::vector<Row>> Table::TakeTail(uint64_t first_rid) {
+  if (first_rid < pending_begin_ || first_rid > rows_.size()) {
+    return Status::InvalidArgument(
+        "tail from row " + std::to_string(first_rid) + " of table '" + name_ +
+        "' is not pending (pending rows start at " +
+        std::to_string(pending_begin_) + " of " +
+        std::to_string(rows_.size()) + ")");
+  }
+  std::vector<Row> out;
+  out.reserve(rows_.size() - first_rid);
+  for (uint64_t rid = first_rid; rid < rows_.size(); ++rid) {
+    if (!deleted_[rid]) out.push_back(std::move(rows_[rid]));
+  }
+  live_rows_ -= out.size();
+  pending_rows_ -= out.size();
+  rows_.resize(first_rid);
+  deleted_.resize(first_rid);
+  return out;
 }
 
 Status Table::Delete(uint64_t rid) {
   if (rid >= rows_.size() || deleted_[rid]) {
     return Status::NotFound("row " + std::to_string(rid) + " not found");
   }
-  for (auto& idx : indexes_) {
-    Key key = ExtractKey(rows_[rid], idx);
-    if (idx.btree != nullptr) {
-      idx.btree->Erase(key, rid);
-    } else {
-      idx.hash->Erase(key, rid);
+  if (rid < pending_begin_) {
+    for (auto& idx : indexes_) {
+      Key key = ExtractKey(rows_[rid], idx);
+      if (idx.btree != nullptr) {
+        idx.btree->Erase(key, rid);
+      } else {
+        idx.hash->Erase(key, rid);
+      }
     }
+  } else {
+    --pending_rows_;
   }
   // Release the payload, not just the slot: sealing a run into a
   // compressed segment deletes its rows and relies on the tombstones
@@ -141,8 +191,16 @@ const Row* Table::PeekRow(uint64_t rid) const {
   return &rows_[rid];
 }
 
+Status Table::PendingRowsError() const {
+  return Status::FailedPrecondition(
+      "table '" + name_ + "' has " +
+      std::to_string(rows_.size() - pending_begin_) +
+      " unindexed rows; index reads need IndexPending() first");
+}
+
 Result<const Table::SecondaryIndex*> Table::FindIndex(
     std::string_view index_name) const {
+  if (has_pending()) return PendingRowsError();
   for (const auto& idx : indexes_) {
     if (idx.spec.name == index_name) return &idx;
   }
@@ -182,6 +240,23 @@ Result<std::vector<uint64_t>> Table::IndexPrefixLookup(
   Mx().index_probes->Increment();
   Mx().descents->Increment();
   return idx->btree->PrefixLookup(prefix);
+}
+
+Result<bool> Table::IndexHasPrefix(std::string_view index_name,
+                                   const Key& prefix) const {
+  PROVLIN_ASSIGN_OR_RETURN(const SecondaryIndex* idx, FindIndex(index_name));
+  if (idx->btree == nullptr) {
+    return Status::InvalidArgument("prefix lookup requires a BTree index");
+  }
+  if (prefix.size() > idx->column_idx.size()) {
+    return Status::InvalidArgument("prefix longer than index arity");
+  }
+  ++ThisThreadStats().index_probes;
+  ++ThisThreadStats().descents;
+  Mx().index_probes->Increment();
+  Mx().descents->Increment();
+  BPlusTree::Iterator it = idx->btree->Seek(prefix);
+  return it.Valid() && KeyHasPrefix(it.key(), prefix);
 }
 
 Result<std::vector<uint64_t>> Table::IndexRangeLookup(
@@ -260,6 +335,7 @@ Key Table::ExtractKey(const Row& row, const SecondaryIndex& idx) const {
 }
 
 Status Table::CheckIndexConsistency() const {
+  if (has_pending()) return PendingRowsError();
   for (const auto& idx : indexes_) {
     size_t indexed =
         idx.btree != nullptr ? idx.btree->size() : idx.hash->size();

@@ -52,14 +52,22 @@ ThreadStats& ThisThreadStats();
 /// Heap table with optional secondary indexes. Rows are addressed by a
 /// stable row id (their insertion ordinal); deletes tombstone in place.
 ///
+/// Indexing may be deferred: Append stores a row without index entries,
+/// and every row from the first appended one to the end of the heap is
+/// *pending* until IndexPending catches the indexes up. Heap reads (Get,
+/// PeekRow, FullScan, ForEachLiveRow) and Delete treat pending rows as
+/// live rows; index reads refuse to run while any are pending, so a
+/// missed catch-up is a loud error rather than a silently missing row.
+/// TakeTail moves pending rows back out without any index work.
+///
 /// Concurrency contract (DESIGN.md §10): the table itself is
 /// single-writer — rows_, deleted_, and indexes_ carry no capability
 /// because mutation is confined to capture/setup phases, while query
 /// phases share the table read-only across threads (the regime the
 /// LineageService batches run in; trace stores must be quiescent during
-/// a batch). Const paths never write to the table: their cost goes to
-/// the calling thread's ThreadStats and to the registry's relaxed
-/// atomic counters.
+/// a batch). Append, IndexPending and TakeTail are writes like Insert.
+/// Const paths never write to the table: their cost goes to the calling
+/// thread's ThreadStats and to the registry's relaxed atomic counters.
 class Table {
  public:
   Table(std::string name, Schema schema);
@@ -67,16 +75,33 @@ class Table {
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
 
-  /// Registers and backfills a secondary index.
+  /// Registers and backfills a secondary index (indexing pending rows
+  /// first).
   Status CreateIndex(const IndexSpec& spec);
 
   bool HasIndex(std::string_view index_name) const;
   std::vector<IndexSpec> indexes() const;
 
-  /// Appends a row; returns its row id. The row must match the schema.
+  /// Appends a row and indexes it; returns its row id. The row must
+  /// match the schema. Pending rows are indexed first, so every indexed
+  /// rid precedes every pending one.
   Result<uint64_t> Insert(const Row& row);
 
-  /// Tombstones a row and removes it from all indexes.
+  /// Appends a row without index entries (it becomes pending); returns
+  /// its row id. The row must match the schema.
+  Result<uint64_t> Append(Row row);
+
+  /// Indexes every pending row. A no-op when none are pending.
+  void IndexPending();
+
+  /// Moves the live pending rows [first_rid, end) out of the heap in rid
+  /// order and shrinks the heap to `first_rid` slots. No index work:
+  /// the rows were never indexed. InvalidArgument unless
+  /// pending_begin() <= first_rid <= num_slots().
+  Result<std::vector<Row>> TakeTail(uint64_t first_rid);
+
+  /// Tombstones a row and removes it from all indexes (a pending row
+  /// has no index entries to remove).
   Status Delete(uint64_t rid);
 
   /// Fetches a live row.
@@ -97,6 +122,11 @@ class Table {
   /// Row ids whose leading indexed columns equal `prefix` (BTree only).
   Result<std::vector<uint64_t>> IndexPrefixLookup(std::string_view index_name,
                                                   const Key& prefix) const;
+
+  /// Whether some row's leading indexed columns equal `prefix` (BTree
+  /// only): one descent, stopping at the first match.
+  Result<bool> IndexHasPrefix(std::string_view index_name,
+                              const Key& prefix) const;
 
   /// Row ids with lo <= indexed-key <= hi (BTree only; composite bounds).
   Result<std::vector<uint64_t>> IndexRangeLookup(std::string_view index_name,
@@ -128,8 +158,15 @@ class Table {
 
   size_t num_rows() const { return live_rows_; }
   size_t num_slots() const { return rows_.size(); }
+  /// Live rows that carry index entries (num_rows() minus the live
+  /// pending rows).
+  size_t num_indexed_rows() const { return live_rows_ - pending_rows_; }
+  /// First pending rid; num_slots() when nothing is pending.
+  uint64_t pending_begin() const { return pending_begin_; }
+  bool has_pending() const { return pending_begin_ < rows_.size(); }
 
   /// Verifies that every index agrees with the heap (used in tests).
+  /// Pending rows count as an inconsistency.
   Status CheckIndexConsistency() const;
 
  private:
@@ -141,6 +178,10 @@ class Table {
   };
 
   Key ExtractKey(const Row& row, const SecondaryIndex& idx) const;
+  void AddToIndexes(const Row& row, uint64_t rid);
+  Status PendingRowsError() const;
+  /// The one entry point of every index read: FailedPrecondition while
+  /// rows are pending, NotFound for an unknown index.
   Result<const SecondaryIndex*> FindIndex(std::string_view index_name) const;
 
   std::string name_;
@@ -148,6 +189,10 @@ class Table {
   std::vector<Row> rows_;
   std::vector<bool> deleted_;
   size_t live_rows_ = 0;
+  /// Rows [pending_begin_, rows_.size()) have no index entries;
+  /// pending_rows_ of them are live.
+  uint64_t pending_begin_ = 0;
+  size_t pending_rows_ = 0;
   std::vector<SecondaryIndex> indexes_;
 };
 

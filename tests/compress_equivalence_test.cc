@@ -14,17 +14,20 @@
 
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "engine/builtin_activities.h"
 #include "lineage/engine.h"
 #include "lineage/forward_lineage.h"
 #include "lineage/index_proj_lineage.h"
 #include "lineage/naive_lineage.h"
+#include "provenance/schema.h"
 #include "provenance/trace_store.h"
 #include "testbed/gk_workflow.h"
 #include "testbed/pd_workflow.h"
@@ -553,6 +556,274 @@ TEST(CompressMaintenance, SealedImageRoundTripsAndUnsealsOnRequest) {
     EXPECT_EQ(warm->bindings, live->bindings);
   }
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Tail sealing (DESIGN.md §13): under a sealing mode a run captured alone
+// on its shard stays unindexed and seals straight from the table's tail.
+// Its segments must be byte-equal to sealing the same rows from the
+// indexed tier, reads in the middle of a capture must see (and keep)
+// every row, and the tier gauges must account for every row throughout.
+// ---------------------------------------------------------------------------
+
+using provenance::TraceStore;
+using provenance::XferRecord;
+using provenance::XformRecord;
+
+/// Every segment blob of `db`, by key.
+std::map<std::string, std::string> SegmentBlobs(const storage::Database& db) {
+  std::map<std::string, std::string> out;
+  for (const std::string& key : db.BlobKeys()) out[key] = *db.GetBlob(key);
+  return out;
+}
+
+/// Writes trace rows [from, to) of a small hand-made run straight through
+/// the store's write API: one value, one xform and one xfer row per step.
+void WriteTraceRows(TraceStore* store, const std::string& run, int from,
+                    int to) {
+  const common::SymbolId run_sym = store->Intern(run);
+  for (int i = from; i < to; ++i) {
+    auto value = store->InternValue(run, "\"v" + std::to_string(i) + "\"");
+    ASSERT_TRUE(value.ok()) << value.status().ToString();
+    XformRecord x;
+    x.run = run_sym;
+    x.event_id = i;
+    x.processor = store->Intern("P");
+    x.has_in = true;
+    x.in_port = store->Intern("x");
+    x.in_index = Index({i % 3, i});
+    x.in_value = *value;
+    x.has_out = true;
+    x.out_port = store->Intern("y");
+    x.out_index = Index({i});
+    x.out_value = *value;
+    ASSERT_TRUE(store->InsertXform(x).ok());
+    XferRecord f;
+    f.run = run_sym;
+    f.src_proc = store->Intern("P");
+    f.src_port = store->Intern("y");
+    f.src_index = Index({i});
+    f.dst_proc = store->Intern("Q");
+    f.dst_port = store->Intern("x");
+    f.dst_index = Index({i});
+    f.value_id = *value;
+    ASSERT_TRUE(store->InsertXfer(f).ok());
+  }
+}
+
+/// Rows of `run` a full-value probe of each trace table finds.
+size_t ProbedRows(const TraceStore& store, const std::string& run) {
+  auto xforms = store.FindProducing(run, "P", "y", Index());
+  auto xfers = store.FindXfersInto(run, "Q", "x", Index());
+  EXPECT_TRUE(xforms.ok() && xfers.ok());
+  return xforms.ok() && xfers.ok() ? xforms->size() + xfers->size() : 0;
+}
+
+/// The tier gauges and the ingest counter of shard 0: sealing moves rows
+/// between tiers, DeleteRun removes them, nothing else changes the sum.
+class TierAccounting {
+ public:
+  TierAccounting()
+      : segment_rows_(common::metrics::GetGauge(
+            "provenance/shard0/segment_rows")),
+        hot_rows_(common::metrics::GetGauge("provenance/shard0/hot_rows")),
+        ingested_(common::metrics::GetCounter("provenance/rows_ingested")),
+        base_(Resident() - static_cast<int64_t>(ingested_->Value())) {}
+
+  void Removed(size_t rows) { base_ -= static_cast<int64_t>(rows); }
+
+  void Expect(const char* step) const {
+    EXPECT_EQ(Resident() - static_cast<int64_t>(ingested_->Value()), base_)
+        << "segment_rows + hot_rows != rows_ingested after " << step;
+  }
+
+ private:
+  int64_t Resident() const {
+    return segment_rows_->Value() + hot_rows_->Value();
+  }
+
+  common::metrics::Gauge* segment_rows_;
+  common::metrics::Gauge* hot_rows_;
+  common::metrics::Counter* ingested_;
+  int64_t base_;
+};
+
+/// Opens an in-memory single-shard store in `mode` on `db`.
+TraceStore OpenSingleShard(storage::Database* db, CompressMode mode,
+                           bool async = false) {
+  TraceStoreOptions options;
+  options.shards = 1;
+  options.compress = mode;
+  options.async_ingest = async;
+  auto store = TraceStore::Open(db, options);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  return std::move(*store);
+}
+
+TEST(CompressTailSeal, SegmentsEqualSealRunOfAnUncompressedCapture) {
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    for (CompressMode mode : {CompressMode::kSeal, CompressMode::kAlways}) {
+      auto capture = [&](CompressMode m) {
+        TraceStoreOptions options;
+        options.shards = shards;
+        options.compress = m;
+        auto wb = std::move(*Workbench::Synthetic(6, options));
+        for (int r = 0; r < 8; ++r) {
+          EXPECT_TRUE(wb->RunSynthetic(2 + r % 5, "t" + std::to_string(r)).ok());
+        }
+        return wb;
+      };
+      auto off = capture(CompressMode::kOff);
+      for (int r = 0; r < 8; ++r) {
+        ASSERT_TRUE(off->store()->SealRun("t" + std::to_string(r)).ok());
+      }
+      auto tail = capture(mode);
+      // No read since the capture: the latest run on each shard is still
+      // the unindexed tail, and seals from it here.
+      ASSERT_TRUE(tail->store()->SealAllRuns().ok());
+      auto want = SegmentBlobs(*off->db());
+      auto got = SegmentBlobs(*tail->db());
+      EXPECT_EQ(got.size(), 16u);
+      ASSERT_EQ(got.size(), want.size()) << shards << " shards";
+      for (const auto& [key, bytes] : want) {
+        ASSERT_EQ(got.count(key), 1u) << key;
+        EXPECT_TRUE(got[key] == bytes)
+            << key << " differs (" << shards << " shards, mode "
+            << static_cast<int>(mode) << ")";
+      }
+    }
+  }
+}
+
+// Capture under kSeal builds every segment from the table tail: no row
+// is indexed and then erased, and no slot is left as a tombstone.
+TEST(CompressTailSeal, CaptureUnderSealDeletesNoRows) {
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    TraceStoreOptions options;
+    options.shards = shards;
+    options.compress = CompressMode::kSeal;
+    auto wb = std::move(*Workbench::Synthetic(5, options));
+    common::metrics::Counter* deletes =
+        common::metrics::GetCounter("storage/deletes");
+    const uint64_t before = deletes->Value();
+    for (int r = 0; r < 12; ++r) {
+      ASSERT_TRUE(wb->RunSynthetic(2 + r % 4, "k" + std::to_string(r)).ok());
+    }
+    EXPECT_EQ(deletes->Value(), before) << shards << " shards";
+    for (size_t k = 0; k < shards; ++k) {
+      for (const char* base :
+           {provenance::tables::kXform, provenance::tables::kXfer}) {
+        storage::Table* t =
+            *wb->db()->GetTable(provenance::ShardTableName(base, k));
+        EXPECT_EQ(t->num_slots(), t->num_rows())
+            << provenance::ShardTableName(base, k);
+      }
+    }
+    EXPECT_GT(wb->store()->ApproxMemory().sealed_rows, 0u);
+  }
+}
+
+TEST(CompressTailSeal, RowsWrittenWithoutFlushAnswerProbes) {
+  for (bool async : {false, true}) {
+    for (CompressMode mode : {CompressMode::kSeal, CompressMode::kAlways}) {
+      storage::Database db;
+      TraceStore store = OpenSingleShard(&db, mode, async);
+      ASSERT_TRUE(store.InsertRun("u0", "wf").ok());
+      WriteTraceRows(&store, "u0", 0, 20);
+      ASSERT_TRUE(store.InsertRun("u1", "wf").ok());
+      WriteTraceRows(&store, "u1", 0, 7);
+      // u0 was sealed by InsertRun(u1); u1's rows are unflushed.
+      EXPECT_EQ(ProbedRows(store, "u1"), 14u) << "async=" << async;
+      EXPECT_EQ(ProbedRows(store, "u0"), 40u) << "async=" << async;
+      auto counts = store.CountRecords("u1");
+      ASSERT_TRUE(counts.ok());
+      EXPECT_EQ(counts->TotalDependencyRecords(), 14u);
+    }
+  }
+}
+
+TEST(CompressTailSeal, ReadsMidCaptureAndInterleavedRunsKeepEveryRow) {
+  // The reference: the same rows under kOff, each run sealed by SealRun.
+  storage::Database ref_db;
+  {
+    TraceStore ref = OpenSingleShard(&ref_db, CompressMode::kOff);
+    for (const char* run : {"a", "b", "c", "d"}) {
+      ASSERT_TRUE(ref.InsertRun(run, "wf").ok());
+    }
+    WriteTraceRows(&ref, "a", 0, 30);
+    for (int i = 0; i < 12; ++i) {
+      WriteTraceRows(&ref, "c", i, i + 1);
+      WriteTraceRows(&ref, "d", i, i + 1);
+    }
+    for (const char* run : {"a", "c", "d"}) ASSERT_TRUE(ref.SealRun(run).ok());
+  }
+  const auto want = SegmentBlobs(ref_db);
+
+  storage::Database db;
+  TraceStore store = OpenSingleShard(&db, CompressMode::kSeal);
+  TierAccounting tiers;
+  ASSERT_TRUE(store.InsertRun("a", "wf").ok());
+  WriteTraceRows(&store, "a", 0, 12);
+  tiers.Expect("appending a's first rows");
+  // A read mid-capture indexes a's rows; the capture then continues.
+  EXPECT_EQ(ProbedRows(store, "a"), 24u);
+  WriteTraceRows(&store, "a", 12, 30);
+  tiers.Expect("continuing a after a read");
+  EXPECT_EQ(ProbedRows(store, "a"), 60u);
+  // b opens: a seals through the indexed path.
+  ASSERT_TRUE(store.InsertRun("b", "wf").ok());
+  tiers.Expect("sealing a");
+  EXPECT_EQ(ProbedRows(store, "a"), 60u);
+  // b has no rows yet: deleting it removes its run row alone.
+  auto removed = store.DeleteRun("b");
+  ASSERT_TRUE(removed.ok());
+  EXPECT_EQ(*removed, 1u);
+  tiers.Removed(*removed);
+  tiers.Expect("deleting b");
+
+  // Two runs interleaved row by row on one shard.
+  ASSERT_TRUE(store.InsertRun("c", "wf").ok());
+  ASSERT_TRUE(store.InsertRun("d", "wf").ok());
+  for (int i = 0; i < 12; ++i) {
+    WriteTraceRows(&store, "c", i, i + 1);
+    WriteTraceRows(&store, "d", i, i + 1);
+    tiers.Expect("interleaving c and d");
+  }
+  EXPECT_EQ(ProbedRows(store, "c"), 24u);
+  EXPECT_EQ(ProbedRows(store, "d"), 24u);
+  ASSERT_TRUE(store.SealAllRuns().ok());
+  tiers.Expect("sealing every run");
+  EXPECT_EQ(ProbedRows(store, "c"), 24u);
+  EXPECT_EQ(ProbedRows(store, "d"), 24u);
+
+  // Whichever path sealed them, the segments equal the reference's.
+  const auto got = SegmentBlobs(db);
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [key, bytes] : want) {
+    ASSERT_EQ(got.count(key), 1u) << key;
+    EXPECT_TRUE(got.at(key) == bytes) << key << " differs";
+  }
+
+  // A tail run deleted before it seals leaves no tombstone behind.
+  const size_t xform_slots = (*db.GetTable(provenance::tables::kXform))->num_slots();
+  const size_t xfer_slots = (*db.GetTable(provenance::tables::kXfer))->num_slots();
+  ASSERT_TRUE(store.InsertRun("e", "wf").ok());
+  WriteTraceRows(&store, "e", 0, 5);
+  tiers.Expect("appending e");
+  removed = store.DeleteRun("e");
+  ASSERT_TRUE(removed.ok());
+  EXPECT_EQ(*removed, 1u + 5u + 10u);  // run row, values, trace rows
+  tiers.Removed(*removed);
+  tiers.Expect("deleting e");
+  EXPECT_EQ((*db.GetTable(provenance::tables::kXform))->num_slots(),
+            xform_slots);
+  EXPECT_EQ((*db.GetTable(provenance::tables::kXfer))->num_slots(),
+            xfer_slots);
+  for (const char* base :
+       {provenance::tables::kXform, provenance::tables::kXfer}) {
+    EXPECT_TRUE((*db.GetTable(base))->CheckIndexConsistency().ok()) << base;
+  }
+  EXPECT_EQ(ProbedRows(store, "e"), 0u);
 }
 
 }  // namespace

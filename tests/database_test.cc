@@ -72,6 +72,38 @@ TEST(Database, SaveLoadRoundTripsRowsAndIndexes) {
   EXPECT_TRUE(t->CheckIndexConsistency().ok());
 }
 
+TEST(Database, PendingRowsSurviveSaveLoad) {
+  std::string path = TempPath("db_pending.bin");
+  {
+    Database db;
+    Table* t = *db.CreateTable("t", SmallSchema());
+    ASSERT_TRUE(t->CreateIndex({"by_k", {"k"}, IndexType::kBTree}).ok());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(t->Insert({Datum("k" + std::to_string(i)), Datum(int64_t{i})})
+                      .ok());
+    }
+    for (int i = 3; i < 8; ++i) {
+      ASSERT_TRUE(t->Append({Datum("k" + std::to_string(i % 4)),
+                             Datum(int64_t{i})})
+                      .ok());
+    }
+    ASSERT_TRUE(t->has_pending());
+    ASSERT_TRUE(db.Save(path).ok());
+  }
+  Database db;
+  ASSERT_TRUE(db.Load(path).ok());
+  Table* t = *db.GetTable("t");
+  EXPECT_EQ(t->num_rows(), 8u);
+  EXPECT_FALSE(t->has_pending());
+  EXPECT_TRUE(t->CheckIndexConsistency().ok());
+  // Rows come back in rid order, pending ones after the indexed ones.
+  for (uint64_t rid = 0; rid < 8; ++rid) {
+    EXPECT_EQ((*t->Get(rid))[1].AsInt(), static_cast<int64_t>(rid));
+  }
+  EXPECT_EQ(t->IndexLookup("by_k", {Datum("k3")})->size(), 2u);
+  std::remove(path.c_str());
+}
+
 TEST(Database, SaveLoadPreservesNulls) {
   std::string path = TempPath("db_nulls.bin");
   {

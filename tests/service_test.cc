@@ -20,6 +20,7 @@
 #include "testbed/gk_workflow.h"
 #include "testbed/synthetic.h"
 #include "testbed/workbench.h"
+#include "tests/reference_ni.h"
 
 namespace provlin::lineage {
 namespace {
@@ -325,6 +326,71 @@ TEST_F(ServiceTest, RegistrySnapshotMatchesInstanceMetrics) {
   EXPECT_GT(inst.requests, 0u);
   EXPECT_GT(inst.trace_probes, 0u);
   EXPECT_GT(inst.probe_memo_lookups, 0u);
+}
+
+// Probe memo keys and NI's visited set key on the index path itself, so
+// requests at indices the store has never seen leave its saved index
+// dictionary as it was: in a memoized service batch, through single
+// probes with and without a memo, and through NI's traversal.
+TEST_F(ServiceTest, FreshRequestIndicesDoNotGrowTheIndexDictionary) {
+  const PortRef result{kWorkflowProcessor, "RESULT"};
+  auto batch_at = [&](int base) {
+    std::vector<ServiceRequest> batch;
+    for (int i = 0; i < 125; ++i) {
+      const std::string& run = synth_runs_[static_cast<size_t>(i) % 4];
+      for (const char* engine : {"indexproj", "naive"}) {
+        batch.push_back({synth_->Engine(engine),
+                         LineageRequest::SingleRun(run, result,
+                                                   Index({base + i, 7}), {})});
+        batch.push_back(
+            {synth_->Engine(engine),
+             LineageRequest::SingleRun(run, result, Index({1, base + i}),
+                                       {testbed::kListGen})});
+      }
+    }
+    return batch;
+  };
+  // The default options memoize probes (dedupe_probes).
+  LineageService service({/*num_threads=*/4, /*group_same_plan=*/true});
+  // A first batch interns whatever stored indices the engines' answer
+  // assembly keys on; the second asks only at indices never seen.
+  for (const ServiceResponse& r : service.ExecuteBatch(batch_at(1000))) {
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  }
+  const common::IndexDictionary& dict = synth_->db()->index_dict();
+  const size_t before = dict.size();
+  const std::vector<ServiceRequest> batch = batch_at(5000);
+  const std::vector<ServiceResponse> responses = service.ExecuteBatch(batch);
+  EXPECT_GT(service.metrics().probe_memo_lookups, 0u);
+  EXPECT_EQ(dict.size(), before);
+
+  const provenance::TraceStore* store = synth_->store();
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(store->FindProducing(synth_runs_[0], testbed::kListGen,
+                                     "list", Index({9000 + i}))
+                    .ok());
+    provenance::ProbeMemo memo;
+    provenance::ProbeMemoScope scope(&memo);
+    ASSERT_TRUE(store->FindProducing(synth_runs_[0], testbed::kListGen,
+                                     "list", Index({9100 + i}))
+                    .ok());
+  }
+  EXPECT_EQ(dict.size(), before);
+
+  // The answers stand: NI's agree with the depth-first reference (which
+  // interns), IndexProj's with its own sequential, memo-free execution.
+  oracle::ReferenceNaiveLineage reference(store);
+  ASSERT_EQ(responses.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(responses[i].status.ok()) << responses[i].status.ToString();
+    const LineageEngine* oracle = batch[i].engine->name() == "naive"
+                                      ? &reference
+                                      : batch[i].engine;
+    auto want = oracle->Query(batch[i].request);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(responses[i].answer.bindings, want->bindings)
+        << batch[i].request.ToString();
+  }
 }
 
 TEST_F(ServiceTest, EngineInterfaceReportsNames) {

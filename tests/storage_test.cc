@@ -191,5 +191,122 @@ TEST(Table, StatsCountAccessPaths) {
   EXPECT_EQ(ThisThreadStats().full_scans - before.full_scans, 1u);
 }
 
+// --- deferred indexing ------------------------------------------------------
+
+Row PendingRow(int i) {
+  return {Datum("r1"), Datum("P" + std::to_string(i % 2)),
+          Datum("i" + std::to_string(i)), Datum(int64_t{i})};
+}
+
+TEST(Table, AppendedRowsAreRefusedByIndexReadsUntilIndexed) {
+  Table t("t", TestSchema());
+  ASSERT_TRUE(t.CreateIndex({"b", {"run", "proc"}, IndexType::kBTree}).ok());
+  ASSERT_TRUE(t.CreateIndex({"h", {"run"}, IndexType::kHash}).ok());
+  ASSERT_TRUE(
+      t.Insert({Datum("r0"), Datum("P"), Datum("i"), Datum(int64_t{0})}).ok());
+  EXPECT_FALSE(t.has_pending());
+  std::vector<uint64_t> appended;
+  for (int i = 0; i < 3; ++i) appended.push_back(*t.Append(PendingRow(i)));
+  EXPECT_FALSE(t.Append({Datum("r1")}).ok());  // schema still checked
+  EXPECT_TRUE(t.has_pending());
+  EXPECT_EQ(t.pending_begin(), appended.front());
+  EXPECT_EQ(t.num_rows(), 4u);
+  EXPECT_EQ(t.num_indexed_rows(), 1u);
+
+  // Every index read refuses while rows are pending...
+  const Key r1{Datum("r1")};
+  for (const Status& st :
+       {t.IndexLookup("h", r1).status(), t.IndexPrefixLookup("b", r1).status(),
+        t.IndexHasPrefix("b", r1).status(),
+        t.IndexRangeLookup("b", r1, {Datum("r2")}).status(),
+        t.IndexMultiSeek("b", {}).status(), t.CheckIndexConsistency()}) {
+    EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+  }
+  // ...while the heap paths see pending rows as live rows.
+  EXPECT_EQ(t.FullScan(), (std::vector<uint64_t>{0, 1, 2, 3}));
+  EXPECT_EQ((*t.Get(appended[1]))[3].AsInt(), 1);
+  ASSERT_NE(t.PeekRow(appended[2]), nullptr);
+  size_t visited = 0;
+  t.ForEachLiveRow([&](uint64_t, const Row&) { ++visited; });
+  EXPECT_EQ(visited, 4u);
+
+  t.IndexPending();
+  EXPECT_FALSE(t.has_pending());
+  EXPECT_EQ(t.num_indexed_rows(), 4u);
+  EXPECT_EQ(*t.IndexLookup("h", r1), appended);
+  EXPECT_EQ(t.IndexPrefixLookup("b", r1)->size(), 3u);
+  EXPECT_TRUE(*t.IndexHasPrefix("b", r1));
+  EXPECT_FALSE(*t.IndexHasPrefix("b", {Datum("r9")}));
+  EXPECT_TRUE(t.CheckIndexConsistency().ok());
+}
+
+TEST(Table, TakeTailReturnsTheAppendedRowsAndRestoresTheTable) {
+  Table t("t", TestSchema());
+  ASSERT_TRUE(t.CreateIndex({"b", {"run", "proc"}, IndexType::kBTree}).ok());
+  std::vector<uint64_t> kept;
+  for (int i = 0; i < 4; ++i) {
+    kept.push_back(*t.Insert(
+        {Datum("r0"), Datum("P"), Datum("i"), Datum(int64_t{i})}));
+  }
+  ASSERT_TRUE(t.Delete(kept[1]).ok());
+  const size_t slots = t.num_slots();
+  const size_t rows = t.num_rows();
+  ASSERT_TRUE(t.CheckIndexConsistency().ok());
+
+  std::vector<Row> appended;
+  for (int i = 0; i < 5; ++i) {
+    appended.push_back(PendingRow(i));
+    ASSERT_TRUE(t.Append(PendingRow(i)).ok());
+  }
+  // Only pending rows can be taken.
+  EXPECT_EQ(t.TakeTail(slots - 1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.TakeTail(t.num_slots() + 1).status().code(),
+            StatusCode::kInvalidArgument);
+  auto taken = t.TakeTail(t.pending_begin());
+  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+  EXPECT_EQ(*taken, appended);
+  EXPECT_EQ(t.num_slots(), slots);
+  EXPECT_EQ(t.num_rows(), rows);
+  EXPECT_FALSE(t.has_pending());
+  EXPECT_TRUE(t.CheckIndexConsistency().ok());
+  EXPECT_EQ(t.IndexPrefixLookup("b", {Datum("r0")})->size(), 3u);
+  EXPECT_TRUE(t.IndexPrefixLookup("b", {Datum("r1")})->empty());
+
+  // A deleted pending row is skipped; a partial tail leaves the rest
+  // pending.
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(t.Append(PendingRow(i)).ok());
+  ASSERT_TRUE(t.Delete(slots + 2).ok());
+  EXPECT_EQ(t.num_indexed_rows(), rows);
+  auto tail = t.TakeTail(slots + 1);
+  ASSERT_TRUE(tail.ok());
+  EXPECT_EQ(*tail, (std::vector<Row>{PendingRow(1), PendingRow(3)}));
+  EXPECT_EQ(t.num_slots(), slots + 1);
+  EXPECT_EQ(t.num_rows(), rows + 1);
+  EXPECT_TRUE(t.has_pending());
+  t.IndexPending();
+  EXPECT_TRUE(t.CheckIndexConsistency().ok());
+}
+
+TEST(Table, InsertAfterAppendIndexesThePendingRowsFirst) {
+  Table t("t", TestSchema());
+  ASSERT_TRUE(t.CreateIndex({"b", {"run", "proc"}, IndexType::kBTree}).ok());
+  ASSERT_TRUE(t.Append(PendingRow(0)).ok());
+  ASSERT_TRUE(t.Append(PendingRow(1)).ok());
+  auto rid = t.Insert(PendingRow(2));
+  ASSERT_TRUE(rid.ok());
+  EXPECT_EQ(*rid, 2u);
+  EXPECT_FALSE(t.has_pending());
+  EXPECT_EQ(t.IndexPrefixLookup("b", {Datum("r1")})->size(), 3u);
+  EXPECT_TRUE(t.CheckIndexConsistency().ok());
+
+  // CreateIndex catches pending rows up in every index, not only its own.
+  ASSERT_TRUE(t.Append(PendingRow(3)).ok());
+  ASSERT_TRUE(t.CreateIndex({"h", {"run"}, IndexType::kHash}).ok());
+  EXPECT_EQ(t.IndexLookup("h", {Datum("r1")})->size(), 4u);
+  EXPECT_EQ(t.IndexPrefixLookup("b", {Datum("r1")})->size(), 4u);
+  EXPECT_TRUE(t.CheckIndexConsistency().ok());
+}
+
 }  // namespace
 }  // namespace provlin::storage

@@ -49,6 +49,10 @@ TEST_F(TraceMaintenanceTest, DeleteRunRemovesAllItsRows) {
 }
 
 TEST_F(TraceMaintenanceTest, DeleteRunMaintainsIndexConsistency) {
+  // Under a sealing mode a shard's latest run may still be unindexed
+  // (DESIGN.md §13), which the check reports; a read indexes it, so what
+  // is checked below is what DeleteRun itself left behind.
+  ASSERT_TRUE(wb_->store()->CountAllRecords().ok());
   ASSERT_TRUE(wb_->store()->DeleteRun("prune").ok());
   for (const std::string& name : wb_->db()->TableNames()) {
     EXPECT_TRUE((*wb_->db()->GetTable(name))->CheckIndexConsistency().ok())
