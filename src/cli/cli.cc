@@ -473,8 +473,8 @@ Status CmdLineage(const Args& args, std::ostream& out) {
 /// `stats --connect HOST:PORT`: scrape a live server's registry (and
 /// optionally its tracer ring) over the wire's STATS message instead of
 /// dumping this process's counters. The scrape is answered on the
-/// server's reader thread, so it works even while the dispatch queue is
-/// saturated.
+/// scraping connection's own thread, so it works even while every other
+/// connection is busy.
 Status CmdStatsRemote(const Args& args, const std::string& connect,
                       std::ostream& out) {
   size_t colon = connect.rfind(':');
@@ -736,12 +736,6 @@ Status CmdServe(const Args& args, std::ostream& out) {
     }
     options.port = static_cast<uint16_t>(n);
   }
-  PROVLIN_RETURN_IF_ERROR(
-      ParseSizeFlag(args, "threads", &options.service.num_threads));
-  PROVLIN_RETURN_IF_ERROR(ParseSizeFlag(args, "max-queue",
-                                        &options.max_queue));
-  PROVLIN_RETURN_IF_ERROR(ParseSizeFlag(args, "max-batch",
-                                        &options.max_batch));
   PROVLIN_RETURN_IF_ERROR(ParseSizeFlag(args, "max-connections",
                                         &options.max_connections));
   if (const std::string* slow = args.Get("slow-request-ms")) {
@@ -780,9 +774,8 @@ Status CmdServe(const Args& args, std::ostream& out) {
 
   server::LineageServer server(std::move(engines), options);
   PROVLIN_RETURN_IF_ERROR(server.Start());
-  out << "serving lineage on 127.0.0.1:" << server.port() << " ("
-      << options.service.num_threads << " workers, queue "
-      << options.max_queue << ", batch " << options.max_batch << ")\n";
+  out << "serving lineage on 127.0.0.1:" << server.port() << " (at most "
+      << options.max_connections << " connections)\n";
   out.flush();
   // --port-file is how scripts and CI find an ephemeral --port 0: the
   // file appears only once the server is accepting.
@@ -806,8 +799,7 @@ Status CmdServe(const Args& args, std::ostream& out) {
   const common::metrics::MetricsSnapshot snap =
       common::metrics::MetricsRegistry::Global().Snapshot();
   out << "served " << snap.counter("server/responses_ok") << " ok, "
-      << snap.counter("server/responses_error") << " error, "
-      << snap.counter("server/overload_shed") << " shed over "
+      << snap.counter("server/responses_error") << " error over "
       << snap.counter("server/connections_accepted") << " connections ("
       << snap.counter("server/connections_rejected") << " rejected, "
       << snap.counter("server/bad_frames") << " bad frames, "

@@ -40,18 +40,19 @@ namespace provlin::cli {
 ///            the batched execution that answered it, and the descents
 ///            and s2 time the batch shared across all steps.
 ///   serve    --workflow W --db FILE [--port N] [--port-file FILE]
-///            [--threads N] [--shards N] [--async-ingest true]
-///            [--max-queue N] [--max-batch N] [--max-connections N]
+///            [--shards N] [--async-ingest true] [--max-connections N]
 ///            [--slow-request-ms N] [--slow-log FILE]
 ///            [--slow-log-max-bytes N] [--trace true] [--stats true]
 ///            Serve lineage queries over loopback TCP (DESIGN.md §12):
 ///            length-prefixed wire-protocol frames carrying
 ///            LineageRequest envelopes, answered by both engines
-///            ("naive", "indexproj" — the request names one) through a
-///            shared concurrent LineageService. --port 0 (default)
-///            binds an ephemeral port; --port-file writes the bound
-///            port once the server is accepting. A full request queue
-///            sheds load with typed OVERLOADED responses.
+///            ("naive", "indexproj" — the request names one). Each
+///            connection is served on its own thread, which executes
+///            its requests in order; --max-connections (default 64)
+///            bounds the threads, and connections beyond it are closed
+///            at accept. --port 0 (default) binds an ephemeral port;
+///            --port-file writes the bound port once the server is
+///            accepting.
 ///            --slow-request-ms N appends a structured JSON-lines record
 ///            (phase timeline, shard fan-out, probe counts, and the
 ///            EXPLAIN the request's own execution recorded — DESIGN.md
@@ -70,9 +71,9 @@ namespace provlin::cli {
 ///            gauges (tracing/ring_events, ring_dropped). With
 ///            --connect the registry of a *live server* is scraped over
 ///            the wire's STATS message instead (answered on the
-///            server's reader thread, so it works under dispatch
-///            saturation); --trace-out additionally pulls the server's
-///            tracer ring as Chrome trace-event JSON.
+///            scraping connection's own thread, so it works while other
+///            connections are busy); --trace-out additionally pulls the
+///            server's tracer ring as Chrome trace-event JSON.
 ///   sql      --db FILE "SELECT ..."
 ///            Run a SQL query against the trace database.
 ///   dot      --db FILE --run ID

@@ -32,11 +32,6 @@ enum class LockRank : uint32_t {
   //     anything below; DESIGN.md §12 lock inventory). ---
   /// LineageServer::conns_mu_ — live-connection list.
   kServerConnections = 100,
-  /// LineageServer::queue_mu_ — admission-controlled dispatch queue.
-  kServerQueue = 110,
-  /// LineageServer::Connection::write_mu — per-connection response
-  /// frame serialization.
-  kServerConnWrite = 120,
   /// SlowRequestLog::mu_ — structured slow-request log file.
   kServerSlowLog = 130,
 
@@ -113,10 +108,6 @@ constexpr const char* LockRankName(LockRank rank) {
   switch (rank) {
     case LockRank::kServerConnections:
       return "server.conns_mu";
-    case LockRank::kServerQueue:
-      return "server.queue_mu";
-    case LockRank::kServerConnWrite:
-      return "server.connection.write_mu";
     case LockRank::kServerSlowLog:
       return "server.slow_log_mu";
     case LockRank::kServiceBatchLatch:

@@ -64,7 +64,6 @@ inline constexpr std::string_view kCounterNames[] = {
     "server/requests",
     "server/responses_ok",
     "server/responses_error",
-    "server/overload_shed",
     "server/bad_frames",
     "server/stats_requests",
     "server/slow_requests_logged",
@@ -78,7 +77,6 @@ inline constexpr std::string_view kCounterNames[] = {
 /// Last-write-wins gauges.
 inline constexpr std::string_view kGaugeNames[] = {
     "provenance/shards",
-    "server/queue_depth",
     // tracer ring-sink health (published by PublishTracingStats)
     "tracing/enabled",
     "tracing/ring_events",
@@ -94,8 +92,6 @@ inline constexpr std::string_view kLatencyHistogramNames[] = {
     "service/batch_wall_ms",
     "server/request_ms",
     // per-phase served-request decomposition (DESIGN.md §14)
-    "server/queue_ms",
-    "server/dispatch_ms",
     "server/execute_ms",
     "server/serialize_ms",
     "server/write_ms",
@@ -104,7 +100,6 @@ inline constexpr std::string_view kLatencyHistogramNames[] = {
 /// Size histograms (DefaultSizeBounds buckets).
 inline constexpr std::string_view kSizeHistogramNames[] = {
     "storage/multiseek_batch_size",
-    "server/batch_size",
 };
 
 /// Names owned by tools/loadgen — not pre-registered by the CLI (a

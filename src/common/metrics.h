@@ -83,7 +83,7 @@ class Counter {
   Shard shards_[kShards];
 };
 
-/// Last-write-wins signed gauge (e.g. "server/queue_depth").
+/// Last-write-wins signed gauge (e.g. "provenance/shards").
 class Gauge {
  public:
   Gauge() = default;

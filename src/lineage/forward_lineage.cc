@@ -1,6 +1,5 @@
 #include "lineage/forward_lineage.h"
 
-#include <algorithm>
 #include <set>
 #include <tuple>
 
@@ -9,7 +8,6 @@
 
 namespace provlin::lineage {
 
-using common::IndexId;
 using common::kNoSymbol;
 using common::SymbolId;
 using provenance::XferRecord;
@@ -26,9 +24,10 @@ using workflow::Processor;
 namespace {
 
 /// ID-space forward traversal, mirroring the backward naive engine:
-/// ports and runs are SymbolIds, indexes are dense IndexIds, and the
-/// visited set compares integer tuples. Strings only reappear in the
-/// reported bindings.
+/// ports and runs are SymbolIds, and the visited set keys on the index
+/// path itself, so a query at a fresh index does not grow the store's
+/// saved index dictionary. Strings only reappear in the reported
+/// bindings.
 class ForwardTraversal {
  public:
   ForwardTraversal(const provenance::TraceStore& store, std::string run,
@@ -52,8 +51,7 @@ class ForwardTraversal {
   /// hop every outgoing arc.
   Status VisitProducer(SymbolId processor, SymbolId port, const Index& p) {
     ++steps_;
-    auto key = std::make_tuple(processor, port, store_.InternIndex(p),
-                               /*producer=*/true);
+    auto key = std::make_tuple(processor, port, p, /*producer=*/true);
     if (!visited_.insert(key).second) return Status::OK();
     PROVLIN_ASSIGN_OR_RETURN(
         std::vector<XferRecord> xfers,
@@ -78,8 +76,7 @@ class ForwardTraversal {
   /// give the elementary events that consumed it and their outputs.
   Status VisitConsumer(SymbolId processor, SymbolId port, const Index& p) {
     ++steps_;
-    auto key = std::make_tuple(processor, port, store_.InternIndex(p),
-                               /*producer=*/false);
+    auto key = std::make_tuple(processor, port, p, /*producer=*/false);
     if (!visited_.insert(key).second) return Status::OK();
     PROVLIN_ASSIGN_OR_RETURN(
         std::vector<XformRecord> rows,
@@ -135,7 +132,7 @@ class ForwardTraversal {
   bool all_interesting_;
   SymbolId workflow_sym_;
   std::set<SymbolId> interest_syms_;
-  std::set<std::tuple<SymbolId, SymbolId, IndexId, bool>> visited_;
+  std::set<std::tuple<SymbolId, SymbolId, Index, bool>> visited_;
   std::vector<LineageBinding> bindings_;
   uint64_t steps_ = 0;
 };
@@ -218,10 +215,11 @@ IndexPattern FitPattern(const IndexPattern& pattern, size_t len) {
   return out;
 }
 
-/// Forward planner. Port names are interned as they are reached;
-/// patterns (which carry wildcards and so have no IndexId) keep their
-/// compact Encode() form inside the plan-build dedup keys — those sets
-/// live only for the duration of one BuildPlan.
+/// Forward planner. Port names are interned as they are reached; every
+/// one is a port of the dataflow, because BuildPlan validates the target
+/// before the walk starts. Patterns (which carry wildcards and so have
+/// no IndexId) keep their compact Encode() form inside the plan-build
+/// dedup keys — those sets live only for the duration of one BuildPlan.
 class ForwardPlanner {
  public:
   ForwardPlanner(const Dataflow& flow, const workflow::DepthMap& depths,
@@ -330,18 +328,6 @@ class ForwardPlanner {
 
 }  // namespace
 
-ForwardIndexProjLineage::PlanKey ForwardIndexProjLineage::MakePlanKey(
-    const PortRef& target, const Index& p, const InterestSet& interest) const {
-  std::vector<SymbolId> interest_syms;
-  interest_syms.reserve(interest.size());
-  for (const std::string& s : interest) {
-    interest_syms.push_back(store_->Intern(s));
-  }
-  std::sort(interest_syms.begin(), interest_syms.end());
-  return PlanKey(store_->Intern(target.processor), store_->Intern(target.port),
-                 store_->InternIndex(p), std::move(interest_syms));
-}
-
 Result<ForwardPlan> ForwardIndexProjLineage::BuildPlan(
     const PortRef& target, const Index& p,
     const InterestSet& interest) const {
@@ -374,7 +360,7 @@ Result<ForwardPlan> ForwardIndexProjLineage::BuildPlan(
 
 Result<const ForwardPlan*> ForwardIndexProjLineage::Plan(
     const PortRef& target, const Index& p, const InterestSet& interest) {
-  PlanKey key = MakePlanKey(target, p, interest);
+  PlanKey key{target, p, interest};
   auto it = plan_cache_.find(key);
   if (it != plan_cache_.end()) return &it->second;
   PROVLIN_ASSIGN_OR_RETURN(ForwardPlan plan, BuildPlan(target, p, interest));
@@ -406,19 +392,18 @@ Status AppendForwardOutputBindings(const provenance::TraceStore& store,
 }
 
 /// Interesting-processor assembly: out-bindings whose index the pattern
-/// selects, deduped per (index, value).
+/// selects, deduped per (index path, value).
 Status AppendForwardProducedBindings(const provenance::TraceStore& store,
                                      const std::string& run,
                                      const ForwardTraceQuery& q,
                                      const std::vector<XformRecord>& rows,
                                      std::vector<LineageBinding>* bindings) {
   PortRef port{store.NameOf(q.processor), store.NameOf(q.port)};
-  std::set<std::pair<IndexId, int64_t>> seen;
+  std::set<std::pair<Index, int64_t>> seen;
   for (const XformRecord& row : rows) {
     if (!row.has_out || row.out_port != q.port) continue;
     if (!q.pattern.Overlaps(row.out_index)) continue;
-    auto key = std::make_pair(store.InternIndex(row.out_index), row.out_value);
-    if (!seen.insert(key).second) continue;
+    if (!seen.emplace(row.out_index, row.out_value).second) continue;
     PROVLIN_ASSIGN_OR_RETURN(std::string repr,
                              store.GetValueRepr(row.run, row.out_value));
     bindings->push_back(
@@ -479,8 +464,8 @@ Result<LineageAnswer> ForwardIndexProjLineage::QueryMultiRun(
     const Index& p, const InterestSet& interest) {
   PROVLIN_TRACE_SPAN("forward_indexproj/query");
   LineageAnswer answer;
-  PlanKey key = MakePlanKey(target, p, interest);
-  answer.timing.plan_cache_hit = plan_cache_.count(key) > 0;
+  answer.timing.plan_cache_hit =
+      plan_cache_.count(PlanKey{target, p, interest}) > 0;
   WallTimer t1;
   PROVLIN_ASSIGN_OR_RETURN(const ForwardPlan* plan,
                            Plan(target, p, interest));

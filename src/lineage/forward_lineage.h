@@ -106,12 +106,11 @@ class ForwardIndexProjLineage {
   Status ExecutePlan(const ForwardPlan& plan, const std::string& run,
                      std::vector<LineageBinding>* bindings) const;
 
-  /// Same integer-tuple cache key shape as the backward engine.
-  using PlanKey =
-      std::tuple<common::SymbolId, common::SymbolId, common::IndexId,
-                 std::vector<common::SymbolId>>;
-  PlanKey MakePlanKey(const workflow::PortRef& target, const Index& p,
-                      const InterestSet& interest) const;
+  /// A plan is keyed on the request as named: target, index path and
+  /// 𝒫's names. Nothing is interned for the key, and a 𝒫 of names the
+  /// store never recorded (focused on nothing) keeps a key apart from
+  /// the empty, unfocused 𝒫.
+  using PlanKey = std::tuple<workflow::PortRef, Index, InterestSet>;
 
   std::shared_ptr<const workflow::Dataflow> dataflow_;
   workflow::DepthMap depths_;

@@ -9,6 +9,7 @@
 #include "common/timer.h"
 #include "common/tracing.h"
 #include "lineage/binding_retrieval.h"
+#include "lineage/index_projection.h"
 #include "workflow/port_space.h"
 
 namespace provlin::lineage {
@@ -148,19 +149,16 @@ class IndexProjLineage::TemplateBuilder {
     workflow::PortSlotId via;
   };
 
-  /// Def. 4 on a slice, clipped where q runs out exactly as
-  /// ProjectOutputIndex clips a concrete index. An empty fragment is
-  /// always {0, 0}, so equal slices are equal fragments.
+  /// Def. 4 on a slice, cut by the ClipSlot that ProjectOutputIndex
+  /// cuts a concrete index with. An empty fragment is always {0, 0}, so
+  /// equal slices are equal fragments.
   Slice Project(Slice s, const workflow::ProcessorDepths& pd,
                 const std::string& port) const {
-    auto it = pd.slots.find(port);
-    if (it == pd.slots.end()) return Slice{0, 0};
     const size_t have = s.length == Slice::kToEnd ? length_ : s.length;
-    const size_t begin = std::min(it->second.offset, have);
-    const size_t take = std::min(it->second.length, have - begin);
-    if (take == 0) return Slice{0, 0};
-    return Slice{static_cast<uint32_t>(s.offset + begin),
-                 static_cast<uint32_t>(take)};
+    const workflow::PortSlot cut = ClipSlot(pd, port, have);
+    if (cut.length == 0) return Slice{0, 0};
+    return Slice{static_cast<uint32_t>(s.offset + cut.offset),
+                 static_cast<uint32_t>(cut.length)};
   }
 
   /// Marks (port, side, slice, via) visited; false if it already was.

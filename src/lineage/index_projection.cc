@@ -4,25 +4,26 @@
 
 namespace provlin::lineage {
 
+workflow::PortSlot ClipSlot(const workflow::ProcessorDepths& depths,
+                            const std::string& port, size_t have) {
+  auto it = depths.slots.find(port);
+  if (it == depths.slots.end()) return {};
+  const size_t begin = std::min(it->second.offset, have);
+  return {begin, std::min(it->second.length, have - begin)};
+}
+
 std::vector<Index> ProjectOutputIndex(const workflow::Processor& proc,
                                       const workflow::ProcessorDepths& depths,
                                       const Index& q) {
   // The strategy layout places each port's fragment at a fixed slot in
   // the output index (cross appends siblings, dot aligns them), so
   // projection is a pure (offset, length) extraction — Def. 4
-  // generalized to arbitrary strategy expressions. Fragments truncate
-  // when q is shorter than the slot (coarse queries).
+  // generalized to arbitrary strategy expressions.
   std::vector<Index> out;
   out.reserve(proc.inputs.size());
   for (const workflow::Port& in : proc.inputs) {
-    auto it = depths.slots.find(in.name);
-    if (it == depths.slots.end() || it->second.length == 0) {
-      out.push_back(Index::Empty());
-      continue;
-    }
-    size_t begin = std::min(it->second.offset, q.length());
-    size_t take = std::min(it->second.length, q.length() - begin);
-    out.push_back(q.SubIndex(begin, take));
+    const workflow::PortSlot cut = ClipSlot(depths, in.name, q.length());
+    out.push_back(q.SubIndex(cut.offset, cut.length));
   }
   return out;
 }

@@ -1,6 +1,7 @@
 #ifndef PROVLIN_LINEAGE_INDEX_PROJECTION_H_
 #define PROVLIN_LINEAGE_INDEX_PROJECTION_H_
 
+#include <string>
 #include <vector>
 
 #include "values/index.h"
@@ -8,6 +9,15 @@
 #include "workflow/depth_propagation.h"
 
 namespace provlin::lineage {
+
+/// Def. 4's cut for one input port: the part of its (offset, length)
+/// slot that a `have`-component output index covers, as an (offset,
+/// length) within that index. It truncates where the index runs out
+/// (coarse queries) and is {0, 0} for a port without a slot. Both the
+/// concrete rule below and IndexProj's slice-space plan templates cut
+/// through it.
+workflow::PortSlot ClipSlot(const workflow::ProcessorDepths& depths,
+                            const std::string& port, size_t have);
 
 /// The index projection rule (Def. 4 + Prop. 1): apportions an output
 /// index q of processor `proc` to its input ports, in port order, by the

@@ -35,9 +35,10 @@ std::tuple<const void*, std::string> GroupKey(const ServiceRequest& req) {
 namespace metrics = common::metrics;
 
 /// Registry handles for the service/* instruments: resolved once, then
-/// bumped by every batch's accumulation pass, so `provlin stats` sees the
-/// process totals across all services. Only the service's own quantities
-/// live here; per-query costs are published once, by the engines.
+/// bumped per executed request and by every batch's accumulation pass, so
+/// `provlin stats` sees the process totals across all executors. Only the
+/// service's own quantities live here; per-query costs are published
+/// once, by the engines.
 struct ServiceInstruments {
   metrics::Counter* batches = metrics::GetCounter("service/batches");
   metrics::Counter* requests = metrics::GetCounter("service/requests");
@@ -78,6 +79,36 @@ std::string ServiceMetrics::ToString() const {
   }
   out += "]";
   return out;
+}
+
+ServiceResponse ExecuteRequest(const ServiceRequest& req) {
+  PROVLIN_TRACE_SPAN_VAR(req_span, "service/request");
+  if (req_span.active()) req_span.SetArgs(req.request.ToString());
+  ServiceResponse resp;
+  storage::ThreadStats before = storage::ThisThreadStats();
+  WallTimer exec_timer;
+  if (req.engine == nullptr) {
+    resp.status = Status::InvalidArgument("request has no engine");
+  } else {
+    // The breakdown scope makes the trace store attribute this request's
+    // physical probes per shard and per tier into resp.breakdown; the
+    // explain scope has a marked request's engine record its EXPLAIN
+    // into resp.explain.
+    provenance::ProbeBreakdownScope breakdown_scope(&resp.breakdown);
+    ExplainScope explain_scope(req.explain ? &resp.explain : nullptr);
+    Result<LineageAnswer> answer = req.engine->Query(req.request);
+    if (answer.ok()) {
+      resp.answer = std::move(answer).value();
+    } else {
+      resp.status = answer.status();
+    }
+  }
+  resp.exec_ms = exec_timer.ElapsedMillis();
+  resp.rows_examined =
+      storage::ThisThreadStats().rows_examined - before.rows_examined;
+  Mx().requests->Increment();
+  if (!resp.status.ok()) Mx().failed->Increment();
+  return resp;
 }
 
 LineageService::LineageService(ServiceOptions options)
@@ -152,40 +183,13 @@ std::vector<ServiceResponse> LineageService::ExecuteBatch(
       provenance::ProbeMemoScope memo_scope(memo.get());
       double queue_wait = MillisSince(submit_time);
       for (size_t i : indices) {
-        const ServiceRequest& req = batch[i];
-        ServiceResponse& resp = responses[i];
-        resp.queue_wait_ms = queue_wait;
-        resp.worker = worker;
-        PROVLIN_TRACE_SPAN_VAR(req_span, "service/request");
-        if (req_span.active()) {
-          req_span.SetArgs("req=" + std::to_string(i) +
-                           " worker=" + std::to_string(worker) + " " +
-                           req.request.ToString());
-        }
-        storage::ThreadStats before = storage::ThisThreadStats();
-        WallTimer exec_timer;
-        if (req.engine == nullptr) {
-          resp.status = Status::InvalidArgument("request has no engine");
-        } else {
-          // The breakdown scope makes the trace store attribute this
-          // request's physical probes per shard and per tier into
-          // resp.breakdown (each response slot belongs to one worker);
-          // the explain scope has a marked request's engine record its
-          // EXPLAIN into resp.explain.
-          provenance::ProbeBreakdownScope breakdown_scope(&resp.breakdown);
-          ExplainScope explain_scope(req.explain ? &resp.explain : nullptr);
-          Result<LineageAnswer> answer = req.engine->Query(req.request);
-          if (answer.ok()) {
-            resp.answer = std::move(answer).value();
-          } else {
-            resp.status = answer.status();
-          }
-        }
-        resp.exec_ms = exec_timer.ElapsedMillis();
-        resp.rows_examined =
-            storage::ThisThreadStats().rows_examined - before.rows_examined;
+        // Each response slot belongs to one worker.
+        const uint64_t probes_before = storage::ThisThreadStats().probes();
+        responses[i] = ExecuteRequest(batch[i]);
         worker_probes[worker] +=
-            storage::ThisThreadStats().probes() - before.probes();
+            storage::ThisThreadStats().probes() - probes_before;
+        responses[i].queue_wait_ms = queue_wait;
+        responses[i].worker = worker;
         // Only the first request of a chained group pays the queue wait;
         // the rest start immediately after their predecessor.
         queue_wait = 0.0;
@@ -218,11 +222,9 @@ std::vector<ServiceResponse> LineageService::ExecuteBatch(
   for (const ServiceResponse& resp : responses) {
     metrics_.requests += 1;
     metrics_.total_queue_wait_ms += resp.queue_wait_ms;
-    Mx().requests->Increment();
     Mx().queue_wait->Observe(resp.queue_wait_ms);
     if (!resp.status.ok()) {
       metrics_.failed_requests += 1;
-      Mx().failed->Increment();
       continue;
     }
     const LineageTiming& timing = resp.answer.timing;

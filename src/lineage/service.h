@@ -53,36 +53,51 @@ struct ServiceRequest {
   bool explain = false;
 };
 
-/// Per-request outcome, positionally aligned with the submitted batch.
+/// Per-request outcome; ExecuteBatch aligns them positionally with the
+/// submitted batch.
 struct ServiceResponse {
   Status status;
   LineageAnswer answer;  // meaningful iff status.ok()
-  /// Time between batch submission and the request starting to execute.
+  /// Time between batch submission and the request starting to execute
+  /// (ExecuteBatch only).
   double queue_wait_ms = 0.0;
   /// Wall time of the engine Query() call itself (set for failures too,
   /// unlike answer.timing which only exists on success).
   double exec_ms = 0.0;
-  /// Worker thread (0 .. num_threads-1) that executed the request.
+  /// Worker thread (0 .. num_threads-1) that executed the request
+  /// (ExecuteBatch only).
   size_t worker = 0;
-  /// Rows/entries the storage layer examined for this request (worker
-  /// ThreadStats delta around the Query() call).
+  /// Rows/entries the storage layer examined for this request (the
+  /// executing thread's ThreadStats delta around the Query() call).
   uint64_t rows_examined = 0;
   /// Per-shard / per-tier physical probe work (DESIGN.md §14), filled
-  /// through the ProbeBreakdownScope the worker installs per request.
+  /// through the ProbeBreakdownScope ExecuteRequest installs.
   provenance::ProbeBreakdown breakdown;
   /// EXPLAIN record of this execution, filled through the ExplainScope
-  /// the worker installs for a request marked `explain` — by engines
+  /// ExecuteRequest installs for a request marked `explain` — by engines
   /// that keep one (IndexProj); empty otherwise.
   std::optional<ExplainResult> explain;
 };
 
+/// Executes one request on the calling thread: the body every
+/// ExecuteBatch worker runs per request, and all the server runs per
+/// request. Installs the request's ProbeBreakdownScope and, for a
+/// request marked `explain`, its ExplainScope; times the engine call;
+/// takes rows_examined from the thread's storage stats; and counts
+/// service/requests and service/failed_requests. Its probes share
+/// whatever ProbeMemo the calling thread has installed (the server
+/// installs none). Leaves queue_wait_ms and worker at 0.
+ServiceResponse ExecuteRequest(const ServiceRequest& request);
+
 /// Cumulative counters of one service instance — a value snapshot,
 /// consumable by the CLI (`lineage --threads N`) and the service bench.
 /// The process-wide registry keeps only what no other tier counts:
-/// service/{batches,requests,failed_requests} and the queue-wait and
+/// service/{requests,failed_requests} (bumped by ExecuteRequest, so the
+/// server's requests count too), service/batches and the queue-wait and
 /// batch-wall histograms. Probes, descents and plan-cache hits are the
 /// engines' lineage/* counters and memo traffic is provenance/memo_*;
-/// in a process with one service their deltas equal the fields here.
+/// in a process whose only executor is one service their deltas equal
+/// the fields here.
 struct ServiceMetrics {
   uint64_t batches = 0;
   uint64_t requests = 0;
@@ -120,10 +135,12 @@ struct ServiceMetrics {
 
 /// Concurrent batch lineage query service: accepts a batch of requests
 /// and executes them on a fixed-size thread pool against read-only
-/// engines. This is the layer that turns the paper's per-query
-/// amortization (one spec-graph traversal shared across runs and
-/// queries, §3.4) into throughput: many clients' queries ride one plan
-/// build, and independent plans run on all cores.
+/// engines, each through ExecuteRequest. The batch's requests share one
+/// probe memo, and requests on one plan chain onto one worker, so the
+/// batch pays each plan build and each distinct probe once; independent
+/// plans run on all cores. Its callers are `lineage --threads N`, the
+/// service bench and the benchmark's in-process reference; the server
+/// executes each request on its connection's thread instead.
 ///
 /// The trace stores behind the engines must be quiescent while a batch
 /// executes (no concurrent capture); the storage read path is designed

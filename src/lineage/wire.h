@@ -102,8 +102,8 @@ struct ShardCost {
 /// invariant queue+dispatch+execute+serialize+write ≤ total therefore
 /// holds for every frame a client ever sees.
 struct RequestTimeline {
-  double queue_ms = 0;      ///< admission → dispatcher dequeue
-  double dispatch_ms = 0;   ///< dequeue → a service worker picks it up
+  double queue_ms = 0;      ///< 0: the server has no request queue
+  double dispatch_ms = 0;   ///< 0: a request never changes threads
   double execute_ms = 0;    ///< engine Query() wall time
   double serialize_ms = 0;  ///< answer-frame encode (0 on the wire)
   double write_ms = 0;      ///< socket write (0 on the wire)

@@ -15,9 +15,12 @@ namespace provlin::server {
 /// Client half of the wire protocol: one TCP connection speaking
 /// length-prefixed wire.h frames. Send() and Receive() are split so a
 /// caller can pipeline — push a window of requests, then drain
-/// responses, matching them by the echoed request id. A LineageClient
-/// is single-threaded (loadgen runs one per connection thread); it is
-/// movable but not copyable.
+/// responses, matching them by the echoed request id. The server
+/// answers a connection's requests one at a time, so a caller that
+/// pipelines must keep receiving while it sends: one that only sends
+/// blocks its own connection once both socket buffers fill. One thread
+/// may Send() while another Receive()s, as loadgen does; otherwise a
+/// LineageClient is single-threaded. It is movable but not copyable.
 class LineageClient {
  public:
   static Result<LineageClient> Connect(
@@ -54,8 +57,7 @@ class LineageClient {
       bool want_timeline = false);
 
   /// Synchronous STATS scrape: asks the server for a metrics
-  /// snapshot and/or its tracer ring without touching the dispatch
-  /// queue. `want` is a bitmask of wire::kStatsWantMetrics /
+  /// snapshot and/or its tracer ring. `want` is a bitmask of wire::kStatsWantMetrics /
   /// kStatsWantTrace. Must not be interleaved with pipelined Send()s
   /// that still have responses in flight — the scrape reply would
   /// arrive out of band.

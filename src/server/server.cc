@@ -10,6 +10,7 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
+#include "common/timer.h"
 #include "common/tracing.h"
 
 namespace provlin::server {
@@ -23,20 +24,15 @@ struct ServerCounters {
   common::metrics::Counter* requests;
   common::metrics::Counter* responses_ok;
   common::metrics::Counter* responses_error;
-  common::metrics::Counter* overload_shed;
   common::metrics::Counter* bad_frames;
   common::metrics::Counter* stats_requests;
   common::metrics::Counter* slow_logged;
   common::metrics::Histogram* request_ms;
-  common::metrics::Histogram* batch_size;
   // Per-phase decomposition of every served request (DESIGN.md §14);
   // always on — the overhead budget is held by EXPERIMENTS.md's A/B run.
-  common::metrics::Histogram* queue_ms;
-  common::metrics::Histogram* dispatch_ms;
   common::metrics::Histogram* execute_ms;
   common::metrics::Histogram* serialize_ms;
   common::metrics::Histogram* write_ms;
-  common::metrics::Gauge* queue_depth;
 };
 
 ServerCounters& Counters() {
@@ -46,19 +42,13 @@ ServerCounters& Counters() {
       common::metrics::GetCounter("server/requests"),
       common::metrics::GetCounter("server/responses_ok"),
       common::metrics::GetCounter("server/responses_error"),
-      common::metrics::GetCounter("server/overload_shed"),
       common::metrics::GetCounter("server/bad_frames"),
       common::metrics::GetCounter("server/stats_requests"),
       common::metrics::GetCounter("server/slow_requests_logged"),
       common::metrics::GetHistogram("server/request_ms"),
-      common::metrics::GetHistogram("server/batch_size",
-                                    common::metrics::DefaultSizeBounds()),
-      common::metrics::GetHistogram("server/queue_ms"),
-      common::metrics::GetHistogram("server/dispatch_ms"),
       common::metrics::GetHistogram("server/execute_ms"),
       common::metrics::GetHistogram("server/serialize_ms"),
       common::metrics::GetHistogram("server/write_ms"),
-      common::metrics::GetGauge("server/queue_depth"),
   };
   return c;
 }
@@ -89,16 +79,8 @@ uint64_t SalvageRequestId(std::string_view payload) {
 
 }  // namespace
 
-Status LineageServer::Connection::Write(std::string_view payload,
-                                        uint32_t max_frame_bytes) {
-  common::MutexLock lock(write_mu);
-  return WriteFrame(socket, payload, max_frame_bytes);
-}
-
 LineageServer::LineageServer(EngineMap engines, ServerOptions options)
-    : engines_(std::move(engines)),
-      options_(options),
-      service_(options.service) {}
+    : engines_(std::move(engines)), options_(std::move(options)) {}
 
 LineageServer::~LineageServer() { Stop(); }
 
@@ -114,7 +96,6 @@ Status LineageServer::Start() {
   running_.store(true);
   stopping_.store(false);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
-  dispatch_thread_ = std::thread([this] { DispatchLoop(); });
   return Status::OK();
 }
 
@@ -128,41 +109,19 @@ void LineageServer::Stop() {
   //    join returns).
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.Close();
-  // 2. Stop the readers: shutting the sockets down unblocks recv with
-  //    EOF. Joining them means no new queue entries after this point.
-  std::vector<std::shared_ptr<Connection>> conns;
+  // 2. Shut every connection down: a thread blocked in recv or send
+  //    returns with EOF or an error, and one executing a request
+  //    finishes it and then sees stopping_. Once they are joined
+  //    nothing serves.
+  std::vector<std::unique_ptr<Connection>> conns;
   {
     common::MutexLock lock(conns_mu_);
-    conns = conns_;
+    conns.swap(conns_);
   }
   for (auto& conn : conns) conn->socket.ShutdownBoth();
   for (auto& conn : conns) {
-    if (conn->reader.joinable()) conn->reader.join();
+    if (conn->thread.joinable()) conn->thread.join();
   }
-  // 3. Stop the dispatcher: it sheds whatever is still queued (typed
-  //    OVERLOADED — the writes may fail against shut-down sockets,
-  //    which is fine) and exits once the queue is empty.
-  {
-    common::MutexLock lock(queue_mu_);
-    paused_ = false;
-    queue_cv_.NotifyAll();
-  }
-  if (dispatch_thread_.joinable()) dispatch_thread_.join();
-  {
-    common::MutexLock lock(conns_mu_);
-    conns_.clear();
-  }
-}
-
-void LineageServer::PauseDispatchForTest() {
-  common::MutexLock lock(queue_mu_);
-  paused_ = true;
-}
-
-void LineageServer::ResumeDispatchForTest() {
-  common::MutexLock lock(queue_mu_);
-  paused_ = false;
-  queue_cv_.NotifyAll();
 }
 
 void LineageServer::AcceptLoop() {
@@ -195,19 +154,20 @@ void LineageServer::AcceptLoop() {
       Counters().connections_rejected->Increment();
       continue;  // `accepted` closes on scope exit
     }
-    auto conn = std::make_shared<Connection>();
+    auto conn = std::make_unique<Connection>();
     conn->socket = std::move(*accepted);
+    Connection* served = conn.get();
     Counters().connections_accepted->Increment();
     {
       common::MutexLock lock(conns_mu_);
-      conns_.push_back(conn);
+      conns_.push_back(std::move(conn));
     }
-    conn->reader = std::thread([this, conn] { ReadLoop(conn); });
+    served->thread = std::thread([this, served] { ReadLoop(served); });
   }
 }
 
 void LineageServer::ReapFinishedConnections() {
-  std::vector<std::shared_ptr<Connection>> finished;
+  std::vector<std::unique_ptr<Connection>> finished;
   {
     common::MutexLock lock(conns_mu_);
     for (auto it = conns_.begin(); it != conns_.end();) {
@@ -219,14 +179,14 @@ void LineageServer::ReapFinishedConnections() {
       }
     }
   }
-  // Join outside the lock; responses in flight for a finished
-  // connection keep their shared_ptr alive independently.
+  // Join outside the lock: a finished thread has left ReadLoop, so the
+  // join is immediate.
   for (auto& conn : finished) {
-    if (conn->reader.joinable()) conn->reader.join();
+    if (conn->thread.joinable()) conn->thread.join();
   }
 }
 
-void LineageServer::ReadLoop(std::shared_ptr<Connection> conn) {
+void LineageServer::ReadLoop(Connection* conn) {
   std::string payload;
   while (!stopping_.load()) {
     Result<bool> frame = ReadFrame(conn->socket, &payload,
@@ -243,69 +203,53 @@ void LineageServer::ReadLoop(std::shared_ptr<Connection> conn) {
     if (payload.empty() ||
         static_cast<uint8_t>(payload[0]) != wire::kWireVersion) {
       Counters().bad_frames->Increment();
-      (void)conn->Write(
-          wire::EncodeErrorResponse(
-              SalvageRequestId(payload), wire::ErrorCode::kUnsupportedVersion,
-              "server speaks wire version " +
-                  std::to_string(wire::kWireVersion)),
-          options_.max_frame_bytes);
+      (void)WriteFrame(conn->socket,
+                       wire::EncodeErrorResponse(
+                           SalvageRequestId(payload),
+                           wire::ErrorCode::kUnsupportedVersion,
+                           "server speaks wire version " +
+                               std::to_string(wire::kWireVersion)),
+                       options_.max_frame_bytes);
       continue;
     }
-    // STATS scrapes are answered inline on the reader thread: a scrape
-    // never touches the dispatch queue, so a monitoring poll can
-    // neither be shed by admission control nor block serving.
     if (payload.size() >= 2 &&
         static_cast<uint8_t>(payload[1]) ==
             static_cast<uint8_t>(wire::MessageType::kStatsRequest)) {
-      HandleStatsScrape(conn, payload);
+      HandleStatsScrape(*conn, payload);
       continue;
     }
     Result<wire::RequestEnvelope> envelope =
         wire::DecodeRequestEnvelope(payload);
     if (!envelope.ok()) {
       Counters().bad_frames->Increment();
-      (void)conn->Write(
-          wire::EncodeErrorResponse(SalvageRequestId(payload),
-                                    wire::ErrorCode::kBadRequest,
-                                    envelope.status().ToString()),
-          options_.max_frame_bytes);
+      (void)WriteFrame(conn->socket,
+                       wire::EncodeErrorResponse(SalvageRequestId(payload),
+                                                 wire::ErrorCode::kBadRequest,
+                                                 envelope.status().ToString()),
+                       options_.max_frame_bytes);
       continue;
     }
     Counters().requests->Increment();
-    Pending pending;
-    pending.conn = conn;
-    pending.envelope = std::move(*envelope);
-    uint64_t request_id = pending.envelope.request_id;
-    if (!Submit(std::move(pending))) {
-      // Admission control: full queue → typed shed, written from the
-      // reader so the response is immediate and nothing is buffered.
-      Counters().overload_shed->Increment();
-      (void)conn->Write(
-          wire::EncodeErrorResponse(request_id, wire::ErrorCode::kOverloaded,
-                                    "request queue full (" +
-                                        std::to_string(options_.max_queue) +
-                                        " deep); retry later"),
-          options_.max_frame_bytes);
-    }
+    Serve(*conn, *envelope);
   }
   conn->done.store(true);
 }
 
-void LineageServer::HandleStatsScrape(
-    const std::shared_ptr<Connection>& conn, std::string_view payload) {
+void LineageServer::HandleStatsScrape(const Connection& conn,
+                                      std::string_view payload) {
   Result<wire::StatsRequest> request = wire::DecodeStatsRequest(payload);
   if (!request.ok()) {
     Counters().bad_frames->Increment();
-    (void)conn->Write(
-        wire::EncodeErrorResponse(SalvageRequestId(payload),
-                                  wire::ErrorCode::kBadRequest,
-                                  request.status().ToString()),
-        options_.max_frame_bytes);
+    (void)WriteFrame(conn.socket,
+                     wire::EncodeErrorResponse(SalvageRequestId(payload),
+                                               wire::ErrorCode::kBadRequest,
+                                               request.status().ToString()),
+                     options_.max_frame_bytes);
     return;
   }
   // Scrapes are counted apart from served requests so the snapshot
-  // balance invariant (responses_ok + responses_error + overload_shed
-  // == requests) holds under concurrent scraping.
+  // balance invariant (responses_ok + responses_error == requests)
+  // holds under concurrent scraping.
   Counters().stats_requests->Increment();
   wire::StatsResponse response;
   response.request_id = request->request_id;
@@ -324,170 +268,92 @@ void LineageServer::HandleStatsScrape(
     response.trace_events = tracer.Snapshot().size();
     response.trace_dropped = tracer.dropped();
   }
-  (void)conn->Write(wire::EncodeStatsResponse(response),
-                    options_.max_frame_bytes);
+  (void)WriteFrame(conn.socket, wire::EncodeStatsResponse(response),
+                   options_.max_frame_bytes);
 }
 
-void LineageServer::UpdateQueueDepthLocked() {
-  Counters().queue_depth->Set(static_cast<int64_t>(queue_.size()));
-}
-
-bool LineageServer::Submit(Pending pending) {
-  common::MutexLock lock(queue_mu_);
-  if (stopping_.load() || queue_.size() >= options_.max_queue) return false;
-  queue_.push_back(std::move(pending));
-  UpdateQueueDepthLocked();
-  queue_cv_.NotifyOne();
-  return true;
-}
-
-void LineageServer::DispatchLoop() {
-  while (true) {
-    std::vector<Pending> drain;
-    bool shutting_down = false;
-    {
-      common::MutexLock lock(queue_mu_);
-      while (!stopping_.load() && (queue_.empty() || paused_)) {
-        queue_cv_.Wait(queue_mu_);
-      }
-      shutting_down = stopping_.load();
-      size_t n = queue_.size();
-      if (!shutting_down && n > options_.max_batch) n = options_.max_batch;
-      drain.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        // Dequeue closes the request's queue phase.
-        queue_.front().queue_ms = queue_.front().admitted.ElapsedMillis();
-        drain.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      UpdateQueueDepthLocked();
-      if (shutting_down && queue_.empty() && drain.empty()) break;
-    }
-    if (shutting_down) {
-      // Shutdown sheds rather than executes: prompt, bounded, and the
-      // client-visible semantics are the same as overload.
-      for (const Pending& p : drain) {
-        Counters().overload_shed->Increment();
-        (void)p.conn->Write(
-            wire::EncodeErrorResponse(p.envelope.request_id,
-                                      wire::ErrorCode::kOverloaded,
-                                      "server shutting down"),
-            options_.max_frame_bytes);
-      }
-      continue;
-    }
-    if (!drain.empty()) ExecuteDrain(std::move(drain));
+void LineageServer::Serve(const Connection& conn,
+                          const wire::RequestEnvelope& envelope) {
+  const WallTimer admitted;
+  auto engine = engines_.find(envelope.engine);
+  if (engine == engines_.end()) {
+    Counters().responses_error->Increment();
+    (void)WriteFrame(conn.socket,
+                     wire::EncodeErrorResponse(
+                         envelope.request_id, wire::ErrorCode::kBadRequest,
+                         "unknown engine '" + envelope.engine + "'"),
+                     options_.max_frame_bytes);
+    return;
+  }
+  // While the slow log is open every request records its EXPLAIN, so
+  // a logged record describes the execution that served it.
+  const lineage::ServiceResponse r = lineage::ExecuteRequest(
+      {engine->second, envelope.request, slow_log_ != nullptr});
+  // Assemble the phase timeline for every request — recording is
+  // always on (it feeds the server/*_ms histograms and the slow log);
+  // the wire only carries it when the client asked. queue_ms and
+  // dispatch_ms stay 0: the request never waits for another thread.
+  wire::RequestTimeline timeline;
+  timeline.execute_ms = r.exec_ms;
+  timeline.rows_examined = r.rows_examined;
+  if (r.status.ok()) {
+    timeline.trace_probes = r.answer.timing.trace_probes;
+    timeline.trace_descents = r.answer.timing.trace_descents;
+  }
+  uint64_t physical_probes = 0;
+  for (const auto& [shard, cost] : r.breakdown.shards) {
+    timeline.shards.push_back({shard, cost.probes, cost.descents, cost.rows});
+    physical_probes += cost.probes;
+  }
+  timeline.sealed_probes = r.breakdown.sealed_probes;
+  timeline.hot_probes = physical_probes >= r.breakdown.sealed_probes
+                            ? physical_probes - r.breakdown.sealed_probes
+                            : 0;
+  // Total closes just before the frame encode: serialize_ms/write_ms
+  // are structurally unknowable at encode time and stay 0 on the
+  // wire (wire.h contract) — the histograms and slow log get the
+  // real values below.
+  timeline.total_ms = admitted.ElapsedMillis();
+  std::string frame;
+  WallTimer serialize_timer;
+  if (r.status.ok()) {
+    Counters().responses_ok->Increment();
+    frame = wire::EncodeAnswerResponseV2(
+        envelope.request_id, r.answer,
+        envelope.want_timeline ? &timeline : nullptr);
+  } else {
+    Counters().responses_error->Increment();
+    frame = wire::EncodeErrorResponse(envelope.request_id,
+                                      CodeForStatus(r.status),
+                                      r.status.ToString());
+  }
+  const double serialize_ms = serialize_timer.ElapsedMillis();
+  ServerCounters& c = Counters();
+  c.request_ms->Observe(admitted.ElapsedMillis());
+  WallTimer write_timer;
+  Status written = WriteFrame(conn.socket, frame, options_.max_frame_bytes);
+  const double write_ms = write_timer.ElapsedMillis();
+  if (!written.ok() && !stopping_.load()) {
+    PROVLIN_LOG(Warning) << "response write failed (client gone?): "
+                         << written.ToString();
+  }
+  c.execute_ms->Observe(timeline.execute_ms);
+  c.serialize_ms->Observe(serialize_ms);
+  c.write_ms->Observe(write_ms);
+  if (slow_log_ != nullptr && timeline.total_ms >= options_.slow_request_ms) {
+    timeline.serialize_ms = serialize_ms;
+    timeline.write_ms = write_ms;
+    // Re-stamp the total so it covers the serialize and write phases
+    // the record now carries — the logged invariant is
+    // queue + dispatch + execute + serialize + write <= total.
+    timeline.total_ms = admitted.ElapsedMillis();
+    LogSlowRequest(envelope, timeline, r);
   }
 }
 
-void LineageServer::ExecuteDrain(std::vector<Pending> drain) {
-  PROVLIN_TRACE_SPAN("server/drain");
-  Counters().batch_size->Observe(static_cast<double>(drain.size()));
-  WallTimer dispatch_timer;
-  // Resolve engines up front; unknown names answer immediately and are
-  // excluded from the service batch (`requests` keeps positional
-  // alignment via the index vector).
-  std::vector<lineage::ServiceRequest> batch;
-  std::vector<size_t> batch_to_drain;
-  batch.reserve(drain.size());
-  for (size_t i = 0; i < drain.size(); ++i) {
-    const wire::RequestEnvelope& env = drain[i].envelope;
-    auto it = engines_.find(env.engine);
-    if (it == engines_.end()) {
-      Counters().responses_error->Increment();
-      (void)drain[i].conn->Write(
-          wire::EncodeErrorResponse(env.request_id,
-                                    wire::ErrorCode::kBadRequest,
-                                    "unknown engine '" + env.engine + "'"),
-          options_.max_frame_bytes);
-      continue;
-    }
-    // While the slow log is open every request records its EXPLAIN, so
-    // a logged record describes the execution that served it.
-    batch.push_back({it->second, env.request, slow_log_ != nullptr});
-    batch_to_drain.push_back(i);
-  }
-  if (batch.empty()) return;
-  // Dispatch work done on this thread before the batch is handed to
-  // the service; the per-request remainder of the dispatch phase is
-  // the service-internal wait until a worker picks the request up.
-  const double predispatch_ms = dispatch_timer.ElapsedMillis();
-  std::vector<lineage::ServiceResponse> responses =
-      service_.ExecuteBatch(batch);
-  for (size_t b = 0; b < responses.size(); ++b) {
-    Pending& p = drain[batch_to_drain[b]];
-    const lineage::ServiceResponse& r = responses[b];
-    // Assemble the phase timeline for every request — recording is
-    // always on (it feeds the server/*_ms histograms and the slow log);
-    // the wire only carries it when the client asked.
-    wire::RequestTimeline timeline;
-    timeline.queue_ms = p.queue_ms;
-    timeline.dispatch_ms = predispatch_ms + r.queue_wait_ms;
-    timeline.execute_ms = r.exec_ms;
-    timeline.rows_examined = r.rows_examined;
-    if (r.status.ok()) {
-      timeline.trace_probes = r.answer.timing.trace_probes;
-      timeline.trace_descents = r.answer.timing.trace_descents;
-    }
-    uint64_t physical_probes = 0;
-    for (const auto& [shard, cost] : r.breakdown.shards) {
-      timeline.shards.push_back(
-          {shard, cost.probes, cost.descents, cost.rows});
-      physical_probes += cost.probes;
-    }
-    timeline.sealed_probes = r.breakdown.sealed_probes;
-    timeline.hot_probes = physical_probes >= r.breakdown.sealed_probes
-                              ? physical_probes - r.breakdown.sealed_probes
-                              : 0;
-    // Total closes just before the frame encode: serialize_ms/write_ms
-    // are structurally unknowable at encode time and stay 0 on the
-    // wire (wire.h contract) — the histograms and slow log get the
-    // real values below.
-    timeline.total_ms = p.admitted.ElapsedMillis();
-    std::string frame;
-    WallTimer serialize_timer;
-    if (r.status.ok()) {
-      Counters().responses_ok->Increment();
-      frame = wire::EncodeAnswerResponseV2(
-          p.envelope.request_id, r.answer,
-          p.envelope.want_timeline ? &timeline : nullptr);
-    } else {
-      Counters().responses_error->Increment();
-      frame = wire::EncodeErrorResponse(p.envelope.request_id,
-                                        CodeForStatus(r.status),
-                                        r.status.ToString());
-    }
-    const double serialize_ms = serialize_timer.ElapsedMillis();
-    Counters().request_ms->Observe(p.admitted.ElapsedMillis());
-    WallTimer write_timer;
-    Status written = p.conn->Write(frame, options_.max_frame_bytes);
-    const double write_ms = write_timer.ElapsedMillis();
-    if (!written.ok() && !stopping_.load()) {
-      PROVLIN_LOG(Warning) << "response write failed (client gone?): "
-                           << written.ToString();
-    }
-    ServerCounters& c = Counters();
-    c.queue_ms->Observe(timeline.queue_ms);
-    c.dispatch_ms->Observe(timeline.dispatch_ms);
-    c.execute_ms->Observe(timeline.execute_ms);
-    c.serialize_ms->Observe(serialize_ms);
-    c.write_ms->Observe(write_ms);
-    if (slow_log_ != nullptr && timeline.total_ms >= options_.slow_request_ms) {
-      timeline.serialize_ms = serialize_ms;
-      timeline.write_ms = write_ms;
-      // Re-stamp the total so it covers the serialize and write phases
-      // the record now carries — the logged invariant is
-      // queue + dispatch + execute + serialize + write <= total.
-      timeline.total_ms = p.admitted.ElapsedMillis();
-      LogSlowRequest(p, timeline, r);
-    }
-  }
-}
-
-void LineageServer::LogSlowRequest(const Pending& pending,
+void LineageServer::LogSlowRequest(const wire::RequestEnvelope& env,
                                    const wire::RequestTimeline& timeline,
                                    const lineage::ServiceResponse& response) {
-  const wire::RequestEnvelope& env = pending.envelope;
   const Status& status = response.status;
   const double now_s = std::chrono::duration<double>(
                            std::chrono::system_clock::now().time_since_epoch())

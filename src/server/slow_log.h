@@ -20,9 +20,9 @@ namespace provlin::server {
 /// holds more than ~2 × max_bytes on disk no matter how long the
 /// server runs or how low the slow threshold is set (DESIGN.md §14).
 ///
-/// Internally synchronized: the dispatcher appends from its own
-/// thread; Append serializes writers and flushes per record so a
-/// crashed server loses at most the record being written.
+/// Internally synchronized: every connection thread appends; Append
+/// serializes writers and flushes per record so a crashed server loses
+/// at most the record being written.
 class SlowRequestLog {
  public:
   struct Options {

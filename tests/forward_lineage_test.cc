@@ -178,5 +178,51 @@ TEST_F(ForwardSynthetic, PlanCacheReusedAcrossForwardQueries) {
   EXPECT_EQ(first->bindings, second->bindings);
 }
 
+// Forward requests name a target, an index and 𝒫; answering them must
+// not grow the store's saved dictionaries. NI's visited set and the
+// answer assembly key on index paths, and the plan cache keys on the
+// request as named, with the target checked against the dataflow before
+// the planner interns anything.
+TEST_F(ForwardSynthetic, RequestsDoNotGrowTheStoreDictionaries) {
+  const PortRef target{testbed::kListGen, "list"};
+  NaiveForwardLineage naive = Naive();
+  // Whatever answering a stored index needs is interned by now.
+  ASSERT_TRUE(naive.Query("r0", target, Index({1}), {}).ok());
+  auto unfocused = fwd_->Query("r0", target, Index({1}), {});
+  ASSERT_TRUE(unfocused.ok()) << unfocused.status().ToString();
+  ASSERT_FALSE(unfocused->bindings.empty());
+  const storage::Database& db = *wb_->db();
+  const size_t indices = db.index_dict().size();
+  const size_t symbols = db.symbols().size();
+
+  for (int i = 0; i < 500; ++i) {
+    const Index fresh({1000 + i});
+    ASSERT_TRUE(naive.Query("r0", target, fresh, {}).ok());
+    ASSERT_TRUE(fwd_->Query("r0", target, fresh, {}).ok());
+    // A 𝒫 of only unknown names is focused on nothing.
+    const InterestSet unknown{"NOBODY_" + std::to_string(i)};
+    auto ni = naive.Query("r0", target, Index({1}), unknown);
+    ASSERT_TRUE(ni.ok()) << ni.status().ToString();
+    EXPECT_TRUE(ni->bindings.empty());
+    auto ip = fwd_->Query("r0", target, Index({1}), unknown);
+    ASSERT_TRUE(ip.ok()) << ip.status().ToString();
+    EXPECT_TRUE(ip->bindings.empty());
+    // An unknown target: nothing recorded for NI, no port for IndexProj.
+    const PortRef nowhere{"NO_SUCH_" + std::to_string(i), "out"};
+    auto ni_nowhere = naive.Query("r0", nowhere, Index({1}), {});
+    ASSERT_TRUE(ni_nowhere.ok()) << ni_nowhere.status().ToString();
+    EXPECT_TRUE(ni_nowhere->bindings.empty());
+    EXPECT_TRUE(fwd_->Query("r0", nowhere, Index({1}), {}).status().IsNotFound());
+  }
+  EXPECT_EQ(db.index_dict().size(), indices);
+  EXPECT_EQ(db.symbols().size(), symbols);
+
+  // The unfocused plan kept its own key: still cached, same answer.
+  auto again = fwd_->Query("r0", target, Index({1}), {});
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(again->timing.plan_cache_hit);
+  EXPECT_EQ(again->bindings, unfocused->bindings);
+}
+
 }  // namespace
 }  // namespace provlin::lineage

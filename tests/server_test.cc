@@ -1,14 +1,15 @@
 // Integration tests for the network lineage server (server/server.h):
 // concurrent multi-client traffic must produce answers byte-identical
 // to in-process engine queries (at 1 and 4 store shards), unknown
-// engines and malformed frames get typed error responses, admission
-// control sheds deterministically when the dispatcher is frozen, and
-// oversized frames drop the connection instead of allocating.
+// engines and malformed frames get typed error responses, oversized
+// frames drop the connection instead of allocating, and one connection
+// cannot stall another: not by never reading its answers, and not by a
+// slow request.
 //
-// No sleeps anywhere: overload is driven by PauseDispatchForTest (the
-// dispatcher is provably idle while paused, so queue occupancy is a
-// pure function of what the readers admitted), and every wait is a
-// blocking Receive() on a response the server is guaranteed to send.
+// No sleeps anywhere: a slow request is a HoldingEngine request that
+// waits until the test releases it, and every wait that a stalled
+// server would never end is bounded by a socket receive timeout, so a
+// stall fails the test instead of hanging it.
 //
 // The server counts into the process-wide registry (server/*), which
 // accumulates across the tests in this binary — every assertion is on a
@@ -18,10 +19,15 @@
 #include "server/server.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -60,15 +66,76 @@ std::string AnswerBytes(LineageAnswer answer) {
   return wire::EncodeAnswerResponseV2(0, answer, nullptr);
 }
 
-/// A served workbench: runs executed, both engines registered, server
-/// listening on an ephemeral loopback port. `before` is the registry
-/// snapshot all assertions diff against.
+/// Answers like `inner`, but every request waits in Query() until
+/// Release(): a slow request whose end the test decides.
+class HoldingEngine : public lineage::LineageEngine {
+ public:
+  explicit HoldingEngine(const lineage::LineageEngine* inner)
+      : inner_(inner) {}
+
+  std::string_view name() const override { return "hold"; }
+
+  Result<LineageAnswer> Query(const LineageRequest& request) const override {
+    if (!entered_flag_.exchange(true)) entered_.set_value();
+    released_.wait();
+    return inner_->Query(request);
+  }
+
+  /// True once a request is waiting in Query(), false after `timeout`.
+  bool WaitEntered(std::chrono::milliseconds timeout) {
+    return entered_future_.wait_for(timeout) == std::future_status::ready;
+  }
+
+  /// Lets every waiting and later request through. Idempotent.
+  void Release() {
+    if (!release_flag_.exchange(true)) release_.set_value();
+  }
+
+ private:
+  const lineage::LineageEngine* inner_;
+  mutable std::atomic<bool> entered_flag_{false};
+  mutable std::promise<void> entered_;
+  std::future<void> entered_future_ = entered_.get_future();
+  std::atomic<bool> release_flag_{false};
+  std::promise<void> release_;
+  std::shared_future<void> released_ = release_.get_future().share();
+};
+
+/// A served workbench: runs executed, both engines registered (and
+/// "hold", a HoldingEngine over indexproj), server listening on an
+/// ephemeral loopback port. `before` is the registry snapshot all
+/// assertions diff against.
 struct Served {
+  Served() = default;
+  Served(Served&&) = default;
+  /// Releases held requests first: the server's destructor joins the
+  /// threads executing them, also when an assertion ended the test.
+  ~Served() {
+    if (hold != nullptr) hold->Release();
+  }
+
   std::unique_ptr<Workbench> wb;
+  std::unique_ptr<HoldingEngine> hold;
   std::unique_ptr<LineageServer> server;
   std::vector<std::string> runs;
   common::metrics::MetricsSnapshot before;
 };
+
+/// Bounds every blocking send and receive on `socket` by `timeout`: a
+/// call that would wait longer fails with an I/O error instead.
+void SetSocketTimeout(const Socket& socket, std::chrono::milliseconds timeout) {
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
+  tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
+  EXPECT_EQ(::setsockopt(socket.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv),
+            0);
+  EXPECT_EQ(::setsockopt(socket.fd(), SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv),
+            0);
+}
+
+/// How long a test waits for an answer a stalled server would never
+/// send.
+constexpr std::chrono::milliseconds kStallTimeout{10000};
 
 /// Growth of the counter server/<what> since `s`'s server started.
 uint64_t Delta(const Served& s, const std::string& what) {
@@ -89,9 +156,11 @@ Served StartSynthetic(size_t shards, ServerOptions options = {}) {
     EXPECT_TRUE(s.wb->RunSynthetic(2 + r, run).ok()) << run;
     s.runs.push_back(run);
   }
+  s.hold = std::make_unique<HoldingEngine>(s.wb->Engine("indexproj"));
   LineageServer::EngineMap engines;
   engines["naive"] = s.wb->Engine("naive");
   engines["indexproj"] = s.wb->Engine("indexproj");
+  engines["hold"] = s.hold.get();
   s.server = std::make_unique<LineageServer>(std::move(engines), options);
   EXPECT_TRUE(s.server->Start().ok());
   s.before = common::metrics::MetricsRegistry::Global().Snapshot();
@@ -234,50 +303,6 @@ TEST(ServerTest, UnknownTargetIsTypedNotFound) {
   s.server->Stop();
 }
 
-TEST(ServerTest, OverloadShedsDeterministically) {
-  ServerOptions options;
-  options.max_queue = 2;
-  Served s = StartSynthetic(1, options);
-  // Freeze the dispatcher: nothing leaves the queue, so after k
-  // pipelined sends exactly min(k, max_queue) occupy the queue and the
-  // rest are shed by the reader thread with typed OVERLOADED.
-  s.server->PauseDispatchForTest();
-
-  auto client = LineageClient::Connect("127.0.0.1", s.server->port());
-  ASSERT_TRUE(client.ok());
-  LineageRequest req = LineageRequest::SingleRun(
-      "r0", {kWorkflowProcessor, "RESULT"}, Index({1}));
-  constexpr uint64_t kSent = 5;  // 2 queued + 3 shed
-  for (uint64_t i = 0; i < kSent; ++i) {
-    ASSERT_TRUE(client->Send("naive", req).ok());
-  }
-  // The shed responses arrive first — the reader wrote them inline
-  // while the queued two sit behind the paused dispatcher.
-  for (uint64_t i = 0; i < kSent - options.max_queue; ++i) {
-    auto response = client->Receive();
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
-    EXPECT_FALSE(response->ok);
-    EXPECT_EQ(response->code, wire::ErrorCode::kOverloaded);
-    EXPECT_TRUE(response->ToStatus().IsUnavailable());
-    EXPECT_NE(response->message.find("queue full"), std::string::npos);
-    // Shed responses echo the id of the refused request (3, 4, 5).
-    EXPECT_GT(response->request_id, options.max_queue);
-  }
-
-  s.server->ResumeDispatchForTest();
-  for (uint64_t i = 0; i < options.max_queue; ++i) {
-    auto response = client->Receive();
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
-    EXPECT_TRUE(response->ok) << response->message;
-    EXPECT_LE(response->request_id, options.max_queue);
-  }
-
-  EXPECT_EQ(Delta(s, "requests"), kSent);
-  EXPECT_EQ(Delta(s, "overload_shed"), kSent - options.max_queue);
-  EXPECT_EQ(Delta(s, "responses_ok"), options.max_queue);
-  s.server->Stop();
-}
-
 TEST(ServerTest, WrongVersionFrameGetsTypedError) {
   Served s = StartSynthetic(1);
   auto socket = TcpConnect("127.0.0.1", s.server->port());
@@ -404,45 +429,37 @@ TEST(ServerTest, TimelineAttachedOnlyWhenRequested) {
   s.server->Stop();
 }
 
-TEST(ServerTest, StatsScrapeAnsweredWhileDispatchIsFrozen) {
-  // The STATS path must never enter the dispatch queue: freeze the
-  // dispatcher, fill the queue to the brim, and a scrape on a fresh
-  // connection still answers immediately.
-  ServerOptions options;
-  options.max_queue = 2;
-  Served s = StartSynthetic(1, options);
-  s.server->PauseDispatchForTest();
-
+TEST(ServerTest, StatsScrapeAnsweredWhileRequestIsHeld) {
+  // A scrape runs no engine: while one connection's request is held in
+  // its engine, a scrape on a fresh connection still answers.
+  Served s = StartSynthetic(1);
   auto busy = LineageClient::Connect("127.0.0.1", s.server->port());
   ASSERT_TRUE(busy.ok());
+  SetSocketTimeout(busy->socket(), kStallTimeout);
   LineageRequest req = LineageRequest::SingleRun(
       "r0", {kWorkflowProcessor, "RESULT"}, Index());
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(busy->Send("naive", req).ok());
-  }
-  // The shed response for request 3 proves the queue is full.
-  auto shed = busy->Receive();
-  ASSERT_TRUE(shed.ok());
-  EXPECT_EQ(shed->code, wire::ErrorCode::kOverloaded);
+  ASSERT_TRUE(busy->Send("hold", req).ok());
+  ASSERT_TRUE(s.hold->WaitEntered(kStallTimeout));
 
   auto scraper = LineageClient::Connect("127.0.0.1", s.server->port());
   ASSERT_TRUE(scraper.ok());
+  SetSocketTimeout(scraper->socket(), kStallTimeout);
   auto stats = scraper->Stats(wire::kStatsWantMetrics);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_TRUE(stats->has_metrics);
-  EXPECT_NE(stats->prometheus_text.find("provlin_server_queue_depth"),
+  EXPECT_NE(stats->prometheus_text.find("provlin_server_requests"),
             std::string::npos);
   EXPECT_FALSE(stats->has_trace);
 
   // Scrapes are accounted separately from requests: the request
   // counters still balance without them.
   EXPECT_EQ(Delta(s, "stats_requests"), 1u);
-  EXPECT_EQ(Delta(s, "requests"), 3u);
+  EXPECT_EQ(Delta(s, "requests"), 1u);
 
-  s.server->ResumeDispatchForTest();
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(busy->Receive().ok());
-  }
+  s.hold->Release();
+  auto held = busy->Receive();
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  EXPECT_TRUE(held->ok) << held->message;
   s.server->Stop();
 }
 
@@ -450,7 +467,7 @@ TEST(ServerTest, ConcurrentScrapesDuringTraffic) {
   // TSan-hammered: several client threads serve real queries while a
   // scraper thread pulls STATS snapshots from its own connection. At
   // the end the served-request balance must hold exactly:
-  // answers + errors + sheds == requests admitted.
+  // answers + errors == requests.
   Served s = StartSynthetic(4);
   std::vector<NamedRequest> mix = BuildMix(s.runs);
 
@@ -507,72 +524,10 @@ TEST(ServerTest, ConcurrentScrapesDuringTraffic) {
   }
 
   EXPECT_EQ(Delta(s, "requests"), kClients * mix.size());
-  EXPECT_EQ(Delta(s, "responses_ok") + Delta(s, "responses_error") +
-                Delta(s, "overload_shed"),
+  EXPECT_EQ(Delta(s, "responses_ok") + Delta(s, "responses_error"),
             Delta(s, "requests"));
   EXPECT_EQ(Delta(s, "stats_requests"), static_cast<uint64_t>(kScrapes));
   s.server->Stop();
-}
-
-TEST(ServerTest, QueueDepthGaugeTracksQueueAndDrainsToZero) {
-  common::metrics::Gauge* depth =
-      common::metrics::GetGauge("server/queue_depth");
-  ServerOptions options;
-  options.max_queue = 2;
-  Served s = StartSynthetic(1, options);
-  s.server->PauseDispatchForTest();
-
-  auto client = LineageClient::Connect("127.0.0.1", s.server->port());
-  ASSERT_TRUE(client.ok());
-  LineageRequest req = LineageRequest::SingleRun(
-      "r0", {kWorkflowProcessor, "RESULT"}, Index());
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(client->Send("naive", req).ok());
-  }
-  // The shed response for request 3 proves both earlier requests were
-  // admitted — with the dispatcher frozen the gauge must read exactly
-  // the queue bound.
-  auto shed = client->Receive();
-  ASSERT_TRUE(shed.ok());
-  ASSERT_EQ(shed->code, wire::ErrorCode::kOverloaded);
-  EXPECT_EQ(depth->Value(), 2);
-
-  s.server->ResumeDispatchForTest();
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(client->Receive().ok());
-  }
-  // Both responses received ⇒ the dispatcher has dequeued everything;
-  // the gauge was updated under the queue lock at every transition.
-  EXPECT_EQ(depth->Value(), 0);
-  s.server->Stop();
-  EXPECT_EQ(depth->Value(), 0);
-}
-
-TEST(ServerTest, QueueDepthGaugeZeroAfterStopSheds) {
-  common::metrics::Gauge* depth =
-      common::metrics::GetGauge("server/queue_depth");
-  ServerOptions options;
-  options.max_queue = 4;
-  Served s = StartSynthetic(1, options);
-  s.server->PauseDispatchForTest();
-
-  auto client = LineageClient::Connect("127.0.0.1", s.server->port());
-  ASSERT_TRUE(client.ok());
-  LineageRequest req = LineageRequest::SingleRun(
-      "r0", {kWorkflowProcessor, "RESULT"}, Index());
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(client->Send("naive", req).ok());
-  }
-  auto shed = client->Receive();
-  ASSERT_TRUE(shed.ok());
-  ASSERT_EQ(shed->code, wire::ErrorCode::kOverloaded);
-  EXPECT_EQ(depth->Value(), 4);
-
-  // Stop with four requests still queued: the shutdown shed path must
-  // leave the gauge at zero, not frozen at the old occupancy.
-  s.server->Stop();
-  EXPECT_EQ(depth->Value(), 0);
-  EXPECT_EQ(Delta(s, "overload_shed"), 5u);
 }
 
 TEST(ServerTest, SlowLogRecordsEveryRequestAtThresholdZero) {
@@ -723,32 +678,124 @@ TEST(ServerTest, SlowLogRotatesAtByteBound) {
   std::remove((path + ".1").c_str());
 }
 
-TEST(ServerTest, StopShedsQueuedRequests) {
-  ServerOptions options;
-  options.max_queue = 2;
-  Served s = StartSynthetic(1, options);
-  s.server->PauseDispatchForTest();
+TEST(ServerTest, ClientThatNeverReadsDoesNotStallOthers) {
+  Served s = StartSynthetic(1);
+  // The flooder pipelines requests with large answers and never reads
+  // one. With a small receive buffer its answers soon fill both socket
+  // buffers, the server blocks writing them, and stops reading the
+  // flooder's requests.
+  auto flooder = LineageClient::Connect("127.0.0.1", s.server->port());
+  ASSERT_TRUE(flooder.ok());
+  const int small_buffer = 4096;
+  ASSERT_EQ(::setsockopt(flooder->socket().fd(), SOL_SOCKET, SO_RCVBUF,
+                         &small_buffer, sizeof small_buffer),
+            0);
+  SetSocketTimeout(flooder->socket(), std::chrono::milliseconds(500));
+  const LineageRequest whole = LineageRequest::MultiRun(
+      s.runs, {kWorkflowProcessor, "RESULT"}, Index());
+  // A send that stays blocked for the whole send timeout means the
+  // server has stopped reading the flooder.
+  constexpr size_t kMaxFlood = size_t{1} << 20;
+  size_t sent = 0;
+  while (sent < kMaxFlood && flooder->Send("indexproj", whole).ok()) ++sent;
+  ASSERT_LT(sent, kMaxFlood) << "the server kept reading a client that "
+                                "never reads its answers";
 
+  // Every other connection is still answered.
+  auto other = LineageClient::Connect("127.0.0.1", s.server->port());
+  ASSERT_TRUE(other.ok());
+  SetSocketTimeout(other->socket(), kStallTimeout);
+  LineageRequest req = LineageRequest::SingleRun(
+      "r0", {kWorkflowProcessor, "RESULT"}, Index({1}));
+  for (int i = 0; i < 3; ++i) {
+    auto response = other->Call("indexproj", req);
+    ASSERT_TRUE(response.ok()) << "after " << sent << " flooded requests: "
+                               << response.status().ToString();
+    EXPECT_TRUE(response->ok) << response->message;
+  }
+  s.server->Stop();
+}
+
+TEST(ServerTest, SlowRequestDoesNotDelayOtherConnections) {
+  Served s = StartSynthetic(1);
+  auto slow = LineageClient::Connect("127.0.0.1", s.server->port());
+  ASSERT_TRUE(slow.ok());
+  SetSocketTimeout(slow->socket(), kStallTimeout);
+  LineageRequest req = LineageRequest::SingleRun(
+      "r0", {kWorkflowProcessor, "RESULT"}, Index({1}));
+  ASSERT_TRUE(slow->Send("hold", req).ok());
+  ASSERT_TRUE(s.hold->WaitEntered(kStallTimeout));
+
+  // While that request is held in its engine, a request on another
+  // connection is answered.
+  auto fast = LineageClient::Connect("127.0.0.1", s.server->port());
+  ASSERT_TRUE(fast.ok());
+  SetSocketTimeout(fast->socket(), kStallTimeout);
+  auto answered = fast->Call("indexproj", req);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_TRUE(answered->ok) << answered->message;
+  EXPECT_EQ(Delta(s, "responses_ok"), 1u);
+
+  // Released, the slow request gets the same answer.
+  s.hold->Release();
+  auto held = slow->Receive();
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  ASSERT_TRUE(held->ok) << held->message;
+  EXPECT_EQ(AnswerBytes(held->answer), AnswerBytes(answered->answer));
+  s.server->Stop();
+}
+
+TEST(ServerTest, StopReturnsOnceHeldRequestIsReleased) {
+  Served s = StartSynthetic(1);
   auto client = LineageClient::Connect("127.0.0.1", s.server->port());
   ASSERT_TRUE(client.ok());
-  LineageRequest req = LineageRequest::SingleRun(
-      "r0", {kWorkflowProcessor, "RESULT"}, Index());
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(client->Send("naive", req).ok());
-  }
-  // Receiving the reader-shed response for request 3 proves requests 1
-  // and 2 were admitted and sit in the queue (the reader is strictly
-  // in-order), so Stop below deterministically finds two to shed.
-  auto shed = client->Receive();
-  ASSERT_TRUE(shed.ok()) << shed.status().ToString();
-  EXPECT_EQ(shed->code, wire::ErrorCode::kOverloaded);
+  SetSocketTimeout(client->socket(), kStallTimeout);
+  ASSERT_TRUE(client
+                  ->Send("hold", LineageRequest::SingleRun(
+                                     "r0", {kWorkflowProcessor, "RESULT"},
+                                     Index()))
+                  .ok());
+  ASSERT_TRUE(s.hold->WaitEntered(kStallTimeout));
 
-  // Stop with the dispatcher still paused and two requests queued:
-  // shutdown must not hang, and the queued requests are shed (their
-  // responses may or may not reach the closing socket — liveness and
-  // the shed accounting are what is guaranteed).
+  // Stop shuts the connection down (the client reads EOF) and then
+  // waits for the thread executing the held request.
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    s.server->Stop();
+    stopped.store(true);
+  });
+  auto closed = client->Receive();
+  EXPECT_FALSE(closed.ok());
+  EXPECT_FALSE(stopped.load());
+  s.hold->Release();
+  stopper.join();
+  EXPECT_TRUE(stopped.load());
+  // The held request was answered into the closed socket.
+  EXPECT_EQ(Delta(s, "requests"), 1u);
+  EXPECT_EQ(Delta(s, "responses_ok"), 1u);
+}
+
+TEST(ServerTest, TimelineCountsMatchInProcessEngine) {
+  // A served request executes alone, with no probe memo, so its
+  // timeline reports the probes and descents of an in-process query.
+  Served s = StartSynthetic(4);
+  auto client = LineageClient::Connect("127.0.0.1", s.server->port());
+  ASSERT_TRUE(client.ok());
+  for (const NamedRequest& nr : BuildMix(s.runs)) {
+    auto local = s.wb->Engine(nr.engine)->Query(nr.request);
+    ASSERT_TRUE(local.ok()) << local.status().ToString();
+    auto served = client->Call(nr.engine, nr.request, /*want_timeline=*/true);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ASSERT_TRUE(served->ok) << served->message;
+    ASSERT_TRUE(served->has_timeline);
+    EXPECT_EQ(served->timeline.trace_probes, local->timing.trace_probes)
+        << nr.engine << " " << nr.request.ToString();
+    EXPECT_EQ(served->timeline.trace_descents, local->timing.trace_descents)
+        << nr.engine << " " << nr.request.ToString();
+    EXPECT_EQ(served->timeline.queue_ms, 0.0);
+    EXPECT_EQ(served->timeline.dispatch_ms, 0.0);
+  }
   s.server->Stop();
-  EXPECT_EQ(Delta(s, "overload_shed"), 3u);
 }
 
 }  // namespace
