@@ -89,11 +89,13 @@ std::vector<std::string> WireSeeds() {
 std::vector<std::string> SegmentSeeds() {
   constexpr uint64_t kRun = 7;
   Random rng(51);
-  // 600 xform rows span two row blocks and two out-view blocks, so the
-  // corpus starts with probes whose rows sit on both sides of the
-  // 511/512 block boundary, in-side nulls included.
+  // Two blocks and 20 rows of xform rows span three row blocks and three
+  // out-view blocks, so the corpus starts with probes whose rows sit on
+  // both sides of each block boundary, in-side nulls included.
+  constexpr auto kXformRows =
+      static_cast<int64_t>(2 * Segment::kRowsPerBlock + 20);
   std::vector<Row> xform;
-  for (int64_t i = 0; i < 600; ++i) {
+  for (int64_t i = 0; i < kXformRows; ++i) {
     Row row(8);
     row[0] = Datum(static_cast<int64_t>(kRun));
     row[1] = Datum(i);

@@ -37,6 +37,7 @@ inline constexpr std::string_view kCounterNames[] = {
     "storage/segment_searches",
     "storage/segment_block_decodes",
     "storage/segment_rows_materialized",
+    "storage/segment_view_blocks_scanned",
     // write-ahead log
     "wal/appends",
     "wal/bytes",

@@ -324,6 +324,8 @@ struct SealedProbeMetrics {
       common::metrics::GetCounter("storage/segment_block_decodes");
   common::metrics::Counter* rows_materialized =
       common::metrics::GetCounter("storage/segment_rows_materialized");
+  common::metrics::Counter* view_blocks =
+      common::metrics::GetCounter("storage/segment_view_blocks_scanned");
   common::metrics::Counter* index_probes =
       common::metrics::GetCounter("storage/index_probes");
   common::metrics::Counter* rows_examined =
@@ -356,6 +358,7 @@ void CreditSealedProbe(size_t queries, const Segment::ProbeCounts& counts,
   mx.searches->Add(counts.searches);
   mx.blocks->Add(counts.blocks_decoded);
   mx.rows_materialized->Add(counts.rows_materialized);
+  mx.view_blocks->Add(counts.view_blocks_scanned);
   mx.index_probes->Add(queries);
   mx.rows_examined->Add(counts.entries_examined);
   mx.descents->Add(counts.searches);
@@ -1957,8 +1960,12 @@ Result<std::string> TraceStore::GetValueRepr(SymbolId run,
     return Status::NotFound("no value " + std::to_string(value_id) +
                             " in run '" + NameOf(run) + "'");
   }
-  PROVLIN_ASSIGN_OR_RETURN(Row row, s->val->Get(rids.front()));
-  return row[2].AsString();
+  const Row* row = s->val->PeekRow(rids.front());
+  if (row == nullptr) {
+    return Status::NotFound("row " + std::to_string(rids.front()) +
+                            " not found");
+  }
+  return (*row)[2].AsString();
 }
 
 Result<std::string> TraceStore::GetValueRepr(const std::string& run,

@@ -28,8 +28,7 @@ Result<uint64_t> LineageClient::Send(std::string_view engine,
 
 Result<wire::ResponseEnvelope> LineageClient::Receive() {
   std::string payload;
-  PROVLIN_ASSIGN_OR_RETURN(bool got,
-                           ReadFrame(socket_, &payload, max_frame_bytes_));
+  PROVLIN_ASSIGN_OR_RETURN(bool got, reader_.Read(socket_, &payload));
   if (!got) {
     return Status::Unavailable(
         "connection closed by server before a response frame");
@@ -51,8 +50,7 @@ Result<wire::StatsResponse> LineageClient::Stats(uint8_t want) {
   PROVLIN_RETURN_IF_ERROR(WriteFrame(socket_, wire::EncodeStatsRequest(scrape),
                                      max_frame_bytes_));
   std::string payload;
-  PROVLIN_ASSIGN_OR_RETURN(bool got,
-                           ReadFrame(socket_, &payload, max_frame_bytes_));
+  PROVLIN_ASSIGN_OR_RETURN(bool got, reader_.Read(socket_, &payload));
   if (!got) {
     return Status::Unavailable(
         "connection closed by server before the STATS response");

@@ -68,10 +68,13 @@ class LineageClient {
 
  private:
   LineageClient(Socket socket, uint32_t max_frame_bytes)
-      : socket_(std::move(socket)), max_frame_bytes_(max_frame_bytes) {}
+      : socket_(std::move(socket)),
+        max_frame_bytes_(max_frame_bytes),
+        reader_(max_frame_bytes) {}
 
   Socket socket_;
   uint32_t max_frame_bytes_;
+  FrameReader reader_;
   uint64_t next_id_ = 1;
 };
 

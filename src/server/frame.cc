@@ -5,8 +5,10 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -19,16 +21,28 @@ std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
-/// Full write with EINTR/partial-write handling.
-Status WriteAll(int fd, const char* data, size_t n) {
-  size_t off = 0;
-  while (off < n) {
-    ssize_t w = ::send(fd, data + off, n - off, MSG_NOSIGNAL);
+/// Full gather write with EINTR/partial-write handling: one sendmsg
+/// per attempt, the iovecs advanced past whatever it wrote.
+Status SendAll(int fd, iovec* iov, size_t iovcnt) {
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = iovcnt;
+  while (msg.msg_iovlen > 0) {
+    ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
-      return Status::IoError(Errno("send"));
+      return Status::IoError(Errno("sendmsg"));
     }
-    off += static_cast<size_t>(w);
+    auto left = static_cast<size_t>(w);
+    while (msg.msg_iovlen > 0 && left >= msg.msg_iov->iov_len) {
+      left -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + left;
+      msg.msg_iov->iov_len -= left;
+    }
   }
   return Status::OK();
 }
@@ -152,9 +166,9 @@ Status WriteFrame(const Socket& socket, std::string_view payload,
   char prefix[4];
   uint32_t len = static_cast<uint32_t>(payload.size());
   std::memcpy(prefix, &len, 4);
-  PROVLIN_RETURN_IF_ERROR(WriteAll(socket.fd(), prefix, 4));
-  PROVLIN_RETURN_IF_ERROR(WriteAll(socket.fd(), payload.data(),
-                                   payload.size()));
+  iovec iov[2] = {{prefix, 4},
+                  {const_cast<char*>(payload.data()), payload.size()}};
+  PROVLIN_RETURN_IF_ERROR(SendAll(socket.fd(), iov, 2));
   static auto* frames = common::metrics::GetCounter("net/frames_out");
   static auto* bytes = common::metrics::GetCounter("net/bytes_out");
   frames->Increment();
@@ -162,28 +176,51 @@ Status WriteFrame(const Socket& socket, std::string_view payload,
   return Status::OK();
 }
 
-Result<bool> ReadFrame(const Socket& socket, std::string* payload,
-                       uint32_t max_frame_bytes) {
-  char prefix[4];
-  PROVLIN_ASSIGN_OR_RETURN(size_t got, ReadUpTo(socket.fd(), prefix, 4));
-  if (got == 0) return false;  // clean EOF between frames
-  if (got < 4) {
+Result<size_t> FrameReader::Fill(const Socket& socket) {
+  if (buf_ == nullptr) buf_ = std::make_unique<char[]>(kBufferBytes);
+  // Read only calls this with less than a length prefix buffered: move
+  // it to the front so the recv can fill the rest of the buffer.
+  std::memmove(buf_.get(), buf_.get() + begin_, buffered());
+  end_ -= begin_;
+  begin_ = 0;
+  while (true) {
+    ssize_t r = ::recv(socket.fd(), buf_.get() + end_, kBufferBytes - end_, 0);
+    if (r >= 0) {
+      end_ += static_cast<size_t>(r);
+      return static_cast<size_t>(r);
+    }
+    if (errno != EINTR) return Status::IoError(Errno("recv"));
+  }
+}
+
+Result<bool> FrameReader::Read(const Socket& socket, std::string* payload) {
+  while (buffered() < 4) {
+    PROVLIN_ASSIGN_OR_RETURN(size_t got, Fill(socket));
+    if (got > 0) continue;
+    if (buffered() == 0) return false;  // clean EOF between frames
     return Status::Corruption("EOF inside a frame length prefix");
   }
   uint32_t len = 0;
-  std::memcpy(&len, prefix, 4);
-  if (len > max_frame_bytes) {
+  std::memcpy(&len, buf_.get() + begin_, 4);
+  if (len > max_frame_bytes_) {
     // Nothing past this point can be trusted as a frame boundary; the
     // caller must drop the connection.
     return Status::OutOfRange("frame length " + std::to_string(len) +
                               " exceeds the " +
-                              std::to_string(max_frame_bytes) +
+                              std::to_string(max_frame_bytes_) +
                               "-byte frame ceiling");
   }
+  begin_ += 4;
   payload->resize(len);
-  if (len > 0) {
-    PROVLIN_ASSIGN_OR_RETURN(got, ReadUpTo(socket.fd(), payload->data(), len));
-    if (got < len) {
+  const size_t have = std::min<size_t>(len, buffered());
+  std::memcpy(payload->data(), buf_.get() + begin_, have);
+  begin_ += have;
+  if (have < len) {
+    // The buffer is drained; the rest of the payload goes straight into
+    // the caller's string, and nothing past the frame is read.
+    PROVLIN_ASSIGN_OR_RETURN(
+        size_t got, ReadUpTo(socket.fd(), payload->data() + have, len - have));
+    if (got < len - have) {
       return Status::Corruption("EOF inside a " + std::to_string(len) +
                                 "-byte frame payload");
     }

@@ -102,11 +102,11 @@ Status LineageServer::Start() {
 void LineageServer::Stop() {
   if (!running_.exchange(false)) return;
   stopping_.store(true);
-  // 1. Stop accepting. The accept loop never blocks indefinitely — it
-  //    polls the listener with a 100 ms timeout and re-checks
-  //    stopping_ — so joining first and closing the listener after is
-  //    both prompt and race-free (no thread touches the fd once the
-  //    join returns).
+  // 1. Stop accepting. Shutting the listener down wakes the accept
+  //    loop's poll at once, and the loop then sees stopping_. The fd is
+  //    closed only after the join, so no thread touches a closed (or
+  //    reused) descriptor.
+  listener_.ShutdownBoth();
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.Close();
   // 2. Shut every connection down: a thread blocked in recv or send
@@ -154,7 +154,7 @@ void LineageServer::AcceptLoop() {
       Counters().connections_rejected->Increment();
       continue;  // `accepted` closes on scope exit
     }
-    auto conn = std::make_unique<Connection>();
+    auto conn = std::make_unique<Connection>(options_.max_frame_bytes);
     conn->socket = std::move(*accepted);
     Connection* served = conn.get();
     Counters().connections_accepted->Increment();
@@ -189,8 +189,7 @@ void LineageServer::ReapFinishedConnections() {
 void LineageServer::ReadLoop(Connection* conn) {
   std::string payload;
   while (!stopping_.load()) {
-    Result<bool> frame = ReadFrame(conn->socket, &payload,
-                                   options_.max_frame_bytes);
+    Result<bool> frame = conn->reader.Read(conn->socket, &payload);
     if (!frame.ok()) {
       // Oversized or truncated frame: the stream cannot be resynced.
       Counters().bad_frames->Increment();

@@ -93,7 +93,9 @@ class LineageServer {
   /// One live client connection: the socket and the thread that reads,
   /// executes and answers its requests.
   struct Connection {
+    explicit Connection(uint32_t max_frame_bytes) : reader(max_frame_bytes) {}
     Socket socket;
+    FrameReader reader;
     std::thread thread;
     std::atomic<bool> done{false};
   };

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "storage/serialize.h"
 
@@ -151,11 +150,17 @@ Status Database::Save(const std::string& path) const {
 }
 
 Status Database::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  // One copy of the image: read straight into a string sized from the
+  // file, which is the parse's only buffer.
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::IoError("cannot open '" + path + "' for read");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  std::string data = ss.str();
+  const std::streamoff size = in.tellg();
+  if (size < 0) return Status::IoError("cannot size '" + path + "'");
+  std::string data(static_cast<size_t>(size), '\0');
+  in.seekg(0);
+  if (!in.read(data.data(), size)) {
+    return Status::IoError("short read from '" + path + "'");
+  }
 
   BinaryReader r(data);
   PROVLIN_ASSIGN_OR_RETURN(uint32_t magic, r.ReadU32());

@@ -1,8 +1,10 @@
 #include "storage/segment.h"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstring>
+#include <span>
 #include <unordered_map>
 
 namespace provlin::storage {
@@ -20,12 +22,23 @@ constexpr size_t kWidth = 6;
 }  // namespace xfer_col
 
 constexpr char kMagic[4] = {'P', 'S', 'E', 'G'};
-constexpr uint8_t kVersion = 1;
+// Version 2 has 32-row blocks; version-1 segments (512-row blocks) are
+// not read.
+constexpr uint8_t kVersion = 2;
 constexpr size_t kBlock = Segment::kRowsPerBlock;
-// Forward-reuse bound for sorted probe sequences: if the next probe's
-// lower bound is not in the current or the next view block, re-search
-// the directory instead of walking (the leaf-chain walk analogue).
-constexpr size_t kMaxBlockWalk = 8;
+// Forward-walk bound for sorted probe sequences, in view entries: when
+// the next probe's first match lies further ahead than this, re-search
+// the directory instead of walking (the leaf-chain walk analogue). It
+// is no shorter than the longest walk of the 512-row format (the rest
+// of one block plus eight more), so a sorted batch searches no more
+// often than it did there.
+constexpr size_t kMaxWalkEntries = 9 * 512;
+
+// Entries (or rows) in block `b` of a stream of `total`: every block
+// is full except the last.
+size_t BlockCount(uint64_t total, size_t b) {
+  return static_cast<size_t>(std::min<uint64_t>(kBlock, total - b * kBlock));
+}
 
 // ---------------------------------------------------------------------------
 // Varint codec. LEB128; signed values zigzag. Deltas are mod-2^64
@@ -176,7 +189,7 @@ struct RunReader {
   }
 };
 
-int ComparePath(const IndexPath& a, const IndexPath& b) {
+int ComparePath(std::span<const int32_t> a, std::span<const int32_t> b) {
   size_t n = std::min(a.size(), b.size());
   for (size_t i = 0; i < n; ++i) {
     if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
@@ -213,23 +226,28 @@ struct Segment::Rep {
   uint64_t nrows = 0;
   std::vector<uint64_t> pair_dict;
 
-  struct RowBlockRef {
-    size_t offset = 0;  // payload start within bytes
-    size_t len = 0;
-    uint32_t count = 0;
-  };
-  std::vector<RowBlockRef> row_blocks;
-
-  struct ViewBlockRef {
+  /// One block's payload within bytes. Block b holds rows (or view
+  /// entries) [b * kBlock, b * kBlock + BlockCount(total, b)).
+  struct BlockSpan {
     size_t offset = 0;
     size_t len = 0;
-    uint32_t count = 0;
-    uint64_t first_pair = 0;
-    IndexPath first_path;
   };
+  std::vector<BlockSpan> row_blocks;
+
+  /// One sorted view's block directory, held in flat arrays so that a
+  /// directory costs a few allocations however many blocks it has.
+  /// Block b's first key is (first_pair[b], FirstPath(b)).
   struct ViewDir {
     uint64_t entries = 0;
-    std::vector<ViewBlockRef> blocks;
+    std::vector<BlockSpan> blocks;
+    std::vector<uint64_t> first_pair;
+    std::vector<int32_t> first_parts;
+    std::vector<size_t> first_off;  // blocks.size() + 1 offsets
+
+    std::span<const int32_t> FirstPath(size_t b) const {
+      return std::span<const int32_t>(first_parts)
+          .subspan(first_off[b], first_off[b + 1] - first_off[b]);
+    }
   };
   ViewDir views[kNumViews];
 };
@@ -258,9 +276,14 @@ struct ViewStream {
 
   const Segment::Rep::ViewDir& dir() const { return rep->views[view]; }
 
-  // Positions at the first entry of block b. Returns false on internal
-  // decode failure (cannot happen after FromBytes validation).
-  bool SeekBlock(size_t b) {
+  // Index of the current entry within the view.
+  size_t Position() const { return block * kBlock + consumed - 1; }
+
+  // Positions at the first entry of block b, counting the block as
+  // scanned. Returns false on internal decode failure (cannot happen
+  // after FromBytes validation).
+  bool SeekBlock(size_t b, Segment::ProbeCounts* counts) {
+    ++counts->view_blocks_scanned;
     const auto& vb = dir().blocks[b];
     block = b;
     consumed = 0;
@@ -290,32 +313,34 @@ struct ViewStream {
 
   // Advances to the next entry, crossing block boundaries. On
   // exhaustion keeps cur_* as the last entry and flags exhausted.
-  bool Advance() {
-    if (consumed < dir().blocks[block].count) return DecodeNext();
-    if (block + 1 < dir().blocks.size()) return SeekBlock(block + 1);
+  bool Advance(Segment::ProbeCounts* counts) {
+    if (consumed < BlockCount(dir().entries, block)) return DecodeNext();
+    if (block + 1 < dir().blocks.size()) return SeekBlock(block + 1, counts);
     exhausted = true;
     return false;
   }
 };
 
-/// One row block decoded into flat columns, with no per-row
-/// allocation. sides[0]/sides[1] are xform in/out or xfer src/dst, in
-/// stream order; a side holds one slot per row whose side is present,
-/// in row order.
+/// One row block decoded into flat columns: fixed arrays of a block's
+/// worth of entries, plus one buffer per side for its concatenated
+/// paths, so a decode allocates at most those two buffers.
+/// sides[0]/sides[1] are xform in/out or xfer src/dst, in stream order;
+/// a side holds one slot per row whose side is present, in row order.
 struct BlockColumns {
   struct Side {
-    std::vector<int32_t> slot;     // xform, per row: slot or -1 when null
-    std::vector<uint64_t> pairs;   // per slot: packed IdPair
-    std::vector<int32_t> parts;    // every slot's path, concatenated
-    std::vector<size_t> path_off;  // slot k's path: parts[off[k], off[k+1])
-    std::vector<int64_t> values;   // per slot; empty for the xfer dst side
+    std::array<int32_t, kBlock> slot;    // xform, per row: slot or -1
+    std::array<uint64_t, kBlock> pairs;  // per slot: packed IdPair
+    std::array<int64_t, kBlock> values;  // per slot; unset for xfer dst
+    // Slot k's path is parts[path_off[k], path_off[k + 1]).
+    std::array<size_t, kBlock + 1> path_off;
+    std::vector<int32_t> parts;
 
     IndexPath Path(size_t k) const {
       return IndexPath(parts.begin() + static_cast<ptrdiff_t>(path_off[k]),
                        parts.begin() + static_cast<ptrdiff_t>(path_off[k + 1]));
     }
   };
-  std::vector<int64_t> events;  // xform, per row
+  std::array<int64_t, kBlock> events;  // xform, per row
   Side sides[2];
 };
 
@@ -359,12 +384,12 @@ std::shared_ptr<const std::string> Segment::shared_bytes() const {
 size_t Segment::ApproxMemoryUsage() const {
   size_t total = sizeof(Rep) + rep_->bytes->capacity();
   total += rep_->pair_dict.capacity() * sizeof(uint64_t);
-  total += rep_->row_blocks.capacity() * sizeof(Rep::RowBlockRef);
+  total += rep_->row_blocks.capacity() * sizeof(Rep::BlockSpan);
   for (const auto& view : rep_->views) {
-    total += view.blocks.capacity() * sizeof(Rep::ViewBlockRef);
-    for (const auto& b : view.blocks) {
-      total += b.first_path.capacity() * sizeof(int32_t);
-    }
+    total += view.blocks.capacity() * sizeof(Rep::BlockSpan);
+    total += view.first_pair.capacity() * sizeof(uint64_t);
+    total += view.first_parts.capacity() * sizeof(int32_t);
+    total += view.first_off.capacity() * sizeof(size_t);
   }
   return total;
 }
@@ -429,6 +454,7 @@ void EncodeView(std::string& out, const std::vector<BuildEntry>& entries,
   PutU64(out, entries.size());
   size_t nblocks = (entries.size() + kBlock - 1) / kBlock;
   PutU64(out, nblocks);
+  std::string payload;  // reused across blocks
   for (size_t b = 0; b < nblocks; ++b) {
     size_t begin = b * kBlock;
     size_t count = std::min(kBlock, entries.size() - begin);
@@ -436,7 +462,7 @@ void EncodeView(std::string& out, const std::vector<BuildEntry>& entries,
     // Interleaved layout, matching the streaming probe decode: each
     // dict-run header (id, length) is followed by that run's
     // (path delta, ordinal delta) pairs; delta chains reset per block.
-    std::string payload;
+    payload.clear();
     IndexPath prev_path;
     int64_t prev_ord = 0;
     size_t i = 0;
@@ -478,6 +504,7 @@ void EncodeSide(std::string& out, const std::vector<Row>& rows, size_t begin,
                 size_t count, size_t pair_c, size_t path_c, size_t val_c,
                 const std::unordered_map<uint64_t, uint32_t>& dict_ids) {
   std::vector<uint32_t> ids;
+  ids.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     const Row& row = rows[begin + i];
     if (row[pair_c].is_null()) continue;
@@ -545,11 +572,12 @@ Result<Segment> Segment::Build(Kind kind, uint64_t run,
   // Row blocks.
   size_t nblocks = (rows.size() + kBlock - 1) / kBlock;
   PutU64(out, nblocks);
+  std::string payload;  // reused across blocks
   for (size_t b = 0; b < nblocks; ++b) {
     size_t begin = b * kBlock;
     size_t count = std::min(kBlock, rows.size() - begin);
     PutU64(out, count);
-    std::string payload;
+    payload.clear();
     if (xform) {
       int64_t prev = 0;
       for (size_t i = 0; i < count; ++i) {
@@ -745,19 +773,16 @@ Result<Segment> Segment::FromBytes(
   for (uint64_t b = 0; b < nrowblocks; ++b) {
     uint64_t count, len;
     if (!d.U64(&count) || !d.U64(&len)) return Corrupt("truncated row block");
-    uint64_t expect =
-        b + 1 == nrowblocks ? rep.nrows - b * kBlock : static_cast<uint64_t>(kBlock);
-    if (count != expect) return Corrupt("row block size mismatch");
+    if (count != BlockCount(rep.nrows, b)) {
+      return Corrupt("row block size mismatch");
+    }
     if (len > d.remaining()) return Corrupt("row block length exceeds input");
-    Rep::RowBlockRef ref;
-    ref.offset = static_cast<size_t>(d.p - base);
-    ref.len = static_cast<size_t>(len);
-    ref.count = static_cast<uint32_t>(count);
+    rep.row_blocks.push_back({static_cast<size_t>(d.p - base),
+                              static_cast<size_t>(len)});
     PROVLIN_RETURN_IF_ERROR(ValidateRowBlock(rep.kind, Dec{d.p, d.p + len},
                                              count, rep.pair_dict, &used,
                                              &n_in, &n_out));
     d.Skip(static_cast<size_t>(len));
-    rep.row_blocks.push_back(std::move(ref));
   }
 
   // Views.
@@ -778,6 +803,9 @@ Result<Segment> Segment::FromBytes(
     if (nviewblocks > d.remaining()) return Corrupt("view blocks exceed input");
     dir.entries = nentries;
     dir.blocks.reserve(nviewblocks);
+    dir.first_pair.reserve(nviewblocks);
+    dir.first_off.reserve(nviewblocks + 1);
+    dir.first_off.push_back(0);
 
     uint64_t prev_key_pair = 0;
     IndexPath prev_key_path;
@@ -786,14 +814,12 @@ Result<Segment> Segment::FromBytes(
     for (uint64_t b = 0; b < nviewblocks; ++b) {
       uint64_t count, len;
       if (!d.U64(&count) || !d.U64(&len)) return Corrupt("truncated view block");
-      uint64_t expect = b + 1 == nviewblocks ? nentries - b * kBlock
-                                             : static_cast<uint64_t>(kBlock);
-      if (count != expect) return Corrupt("view block size mismatch");
+      if (count != BlockCount(nentries, b)) {
+        return Corrupt("view block size mismatch");
+      }
       if (len > d.remaining()) return Corrupt("view block length exceeds input");
-      Rep::ViewBlockRef ref;
-      ref.offset = static_cast<size_t>(d.p - base);
-      ref.len = static_cast<size_t>(len);
-      ref.count = static_cast<uint32_t>(count);
+      dir.blocks.push_back({static_cast<size_t>(d.p - base),
+                            static_cast<size_t>(len)});
 
       // Interleaved decode mirroring ViewStream: per entry, a lazily
       // consumed dict-run header, then path delta, then ordinal delta.
@@ -814,8 +840,10 @@ Result<Segment> Segment::FromBytes(
           return Corrupt("view ordinal out of range");
         }
         if (i == 0) {
-          ref.first_pair = pair;
-          ref.first_path = path;
+          dir.first_pair.push_back(pair);
+          dir.first_parts.insert(dir.first_parts.end(), path.begin(),
+                                 path.end());
+          dir.first_off.push_back(dir.first_parts.size());
         }
         if (have_prev) {
           int c = ComparePairPath(prev_key_pair, prev_key_path, pair, path);
@@ -832,7 +860,6 @@ Result<Segment> Segment::FromBytes(
       if (runs.left != 0) return Corrupt("view pair run overshoots block");
       if (bd.remaining() != 0) return Corrupt("view payload not consumed");
       d.Skip(static_cast<size_t>(len));
-      dir.blocks.push_back(std::move(ref));
     }
   }
 
@@ -853,35 +880,33 @@ namespace {
 /// buffers. Reads stay bounds-checked; a failure means the buffer no
 /// longer matches what FromBytes validated.
 Status DecodeRowBlock(const Segment::Rep& rep, size_t b, BlockColumns* cols) {
-  const auto& ref = rep.row_blocks[b];
+  const auto& span = rep.row_blocks[b];
   const auto* base =
-      reinterpret_cast<const uint8_t*>(rep.bytes->data()) + ref.offset;
-  Dec d{base, base + ref.len};
-  const size_t n = ref.count;
+      reinterpret_cast<const uint8_t*>(rep.bytes->data()) + span.offset;
+  Dec d{base, base + span.len};
+  const size_t n = BlockCount(rep.nrows, b);
   IndexPath path;  // previous path of the current delta chain
 
   auto read_side = [&](size_t count, bool with_values,
                        BlockColumns::Side* side) -> bool {
     RunReader runs;
-    side->pairs.resize(count);
-    for (uint64_t& pair : side->pairs) {
-      if (!runs.Next(d, rep.pair_dict, &pair, nullptr)) return false;
+    for (size_t k = 0; k < count; ++k) {
+      if (!runs.Next(d, rep.pair_dict, &side->pairs[k], nullptr)) return false;
     }
     path.clear();
     side->parts.clear();
-    side->path_off.assign(1, 0);
-    side->path_off.reserve(count + 1);
+    side->parts.reserve(2 * count);  // trace paths are mostly 1-2 deep
+    side->path_off[0] = 0;
     for (size_t k = 0; k < count; ++k) {
       if (!ReadPathDelta(d, path)) return false;
       side->parts.insert(side->parts.end(), path.begin(), path.end());
-      side->path_off.push_back(side->parts.size());
+      side->path_off[k + 1] = side->parts.size();
     }
-    side->values.resize(with_values ? count : 0);
     int64_t prev = 0;
-    for (int64_t& value : side->values) {
+    for (size_t k = 0; with_values && k < count; ++k) {
       int64_t delta;
       if (!d.S64(&delta)) return false;
-      value = prev = ApplyDelta(prev, delta);
+      side->values[k] = prev = ApplyDelta(prev, delta);
     }
     return true;
   };
@@ -890,17 +915,15 @@ Status DecodeRowBlock(const Segment::Rep& rep, size_t b, BlockColumns* cols) {
   const bool xform = rep.kind == Segment::Kind::kXform;
   size_t present[2] = {n, n};
   if (xform) {
-    cols->events.resize(n);
     int64_t prev = 0;
-    for (int64_t& event : cols->events) {
+    for (size_t i = 0; i < n; ++i) {
       int64_t delta;
       if (!d.S64(&delta)) return Status::Internal("segment: event decode");
-      event = prev = ApplyDelta(prev, delta);
+      cols->events[i] = prev = ApplyDelta(prev, delta);
     }
     // Presence bitmaps become per-side slots.
     for (size_t s = 0; s < 2; ++s) {
-      std::vector<int32_t>& slot = cols->sides[s].slot;
-      slot.resize(n);
+      std::array<int32_t, kBlock>& slot = cols->sides[s].slot;
       present[s] = 0;
       uint8_t byte = 0;
       for (size_t i = 0; i < n; ++i) {
@@ -964,7 +987,7 @@ Result<std::vector<Row>> Segment::DecodeAllRows() const {
   BlockColumns cols;
   for (size_t b = 0; b < rep_->row_blocks.size(); ++b) {
     PROVLIN_RETURN_IF_ERROR(DecodeRowBlock(*rep_, b, &cols));
-    for (size_t i = 0; i < rep_->row_blocks[b].count; ++i) {
+    for (size_t i = 0; i < BlockCount(rep_->nrows, b); ++i) {
       rows.push_back(MaterializeRow(*rep_, cols, i));
     }
   }
@@ -1004,15 +1027,15 @@ bool EntryAtOrBelowLo(uint64_t pair, const IndexPath& path,
   return ComparePath(path, probe.lo) <= 0;
 }
 
-// block first key strictly below the probe's lower bound? Strict, so
-// the search lands one block early when a run of keys equal to lo
+// Block b's first key strictly below the probe's lower bound? Strict,
+// so the search lands one block early when a run of keys equal to lo
 // spans a block boundary — the tail of the previous block may hold
 // matches too.
-bool BlockFirstBelowLo(const Segment::Rep::ViewBlockRef& blk,
+bool BlockFirstBelowLo(const Segment::Rep::ViewDir& dir, size_t b,
                        const Segment::ViewProbe& probe) {
-  if (blk.first_pair != probe.pair) return blk.first_pair < probe.pair;
+  if (dir.first_pair[b] != probe.pair) return dir.first_pair[b] < probe.pair;
   if (!probe.has_lo) return false;  // any real path >= (pair, -inf)
-  return ComparePath(blk.first_path, probe.lo) < 0;
+  return ComparePath(dir.FirstPath(b), probe.lo) < 0;
 }
 
 }  // namespace
@@ -1035,53 +1058,61 @@ Status Segment::ProbeView(
   st.rep = rep_.get();
   st.view = view;
 
-  // Position at the first entry >= lo. A sorted probe sequence reuses
-  // the previous position when everything before it is provably below
-  // this probe's lower bound; otherwise binary-search the directory.
-  bool positioned = false;
+  // Position at the first entry >= lo. A sorted probe sequence
+  // continues from the previous position when everything before it is
+  // provably below this probe's lower bound; otherwise binary-search
+  // the directory.
+  bool walk = false;
   if (st.valid) {
     if (st.exhausted) {
       if (EntryBelowLo(st.cur_pair, st.cur_path, probe)) {
         return Status::OK();  // last entry below lo: nothing can match
       }
-    } else if (EntryAtOrBelowLo(st.cur_pair, st.cur_path, probe)) {
-      // Current entry <= lo: everything already consumed is strictly
-      // below it, hence below lo — walk forward. Bounded: fall back to
-      // a directory search if the walk drags across too many blocks.
-      positioned = true;
-      size_t start_block = st.block;
-      while (!st.exhausted && EntryBelowLo(st.cur_pair, st.cur_path, probe)) {
-        if (st.consumed >= dir.blocks[st.block].count &&
-            st.block - start_block >= kMaxBlockWalk) {
-          positioned = false;  // too far: re-search below
-          break;
-        }
-        st.Advance();
-      }
-      if (st.exhausted) return Status::OK();
+    } else {
+      walk = EntryAtOrBelowLo(st.cur_pair, st.cur_path, probe);
     }
   }
-  if (!positioned) {
+  size_t scan_block = st.block;  // the view block lo can start in
+  if (walk) {
+    // Current entry <= lo: everything already consumed is strictly
+    // below it, hence below lo. A block whose successor starts below lo
+    // holds nothing >= lo, so the walk steps over it by its directory
+    // key without decoding it. Bounded: a walk past kMaxWalkEntries
+    // re-searches the directory instead.
+    const size_t last_block = (st.Position() + kMaxWalkEntries) / kBlock;
+    while (scan_block + 1 < dir.blocks.size() &&
+           BlockFirstBelowLo(dir, scan_block + 1, probe)) {
+      if (scan_block + 1 > last_block) {
+        walk = false;  // too far
+        break;
+      }
+      ++scan_block;
+    }
+  }
+  if (!walk) {
     ++counts->searches;
     // Last block whose first key < lo (matches cannot start earlier).
     size_t lo_idx = 0, hi_idx = dir.blocks.size();
     while (lo_idx < hi_idx) {
       size_t mid = (lo_idx + hi_idx) / 2;
-      if (BlockFirstBelowLo(dir.blocks[mid], probe)) {
+      if (BlockFirstBelowLo(dir, mid, probe)) {
         lo_idx = mid + 1;
       } else {
         hi_idx = mid;
       }
     }
-    size_t start = lo_idx > 0 ? lo_idx - 1 : 0;
-    if (!st.SeekBlock(start)) {
-      return Status::Internal("segment: view decode after validation");
-    }
-    while (!st.exhausted && EntryBelowLo(st.cur_pair, st.cur_path, probe)) {
-      st.Advance();
-    }
-    if (st.exhausted) return Status::OK();
+    scan_block = lo_idx > 0 ? lo_idx - 1 : 0;
   }
+  // A walk that stays in the current block scans on from the current
+  // entry; otherwise the scan starts at the block's first entry.
+  if ((!walk || scan_block != st.block) &&
+      !st.SeekBlock(scan_block, counts)) {
+    return Status::Internal("segment: view decode after validation");
+  }
+  while (!st.exhausted && EntryBelowLo(st.cur_pair, st.cur_path, probe)) {
+    st.Advance(counts);
+  }
+  if (st.exhausted) return Status::OK();
 
   // Collect entries within [lo, hi] in (pair, path, ordinal) order.
   while (!st.exhausted && !EntryAboveHi(st.cur_pair, st.cur_path, probe)) {
@@ -1091,12 +1122,14 @@ Status Segment::ProbeView(
       auto row = impl->rows.find(ord);
       if (row == impl->rows.end()) {
         const size_t block = ord / kRowsPerBlock;
-        auto cols = impl->blocks.find(block);
-        if (cols == impl->blocks.end()) {
-          BlockColumns decoded;
-          PROVLIN_RETURN_IF_ERROR(DecodeRowBlock(*rep_, block, &decoded));
+        auto [cols, inserted] = impl->blocks.try_emplace(block);
+        if (inserted) {
+          Status decoded = DecodeRowBlock(*rep_, block, &cols->second);
+          if (!decoded.ok()) {
+            impl->blocks.erase(cols);
+            return decoded;
+          }
           ++counts->blocks_decoded;
-          cols = impl->blocks.emplace(block, std::move(decoded)).first;
         }
         row = impl->rows
                   .emplace(ord, MaterializeRow(*rep_, cols->second,
@@ -1106,7 +1139,7 @@ Status Segment::ProbeView(
       }
       emit(ord, row->second);
     }
-    st.Advance();
+    st.Advance(counts);
   }
   return Status::OK();
 }

@@ -50,7 +50,9 @@ namespace provlin::storage {
 /// run is constant per segment — so a view scan enumerates matches in
 /// the same (key, rid) order the B+tree path produces. Views use the
 /// same block structure; the in-memory object keeps only a per-block
-/// directory (byte offset + first key) for binary search.
+/// directory (byte range + first key) for binary search and for the
+/// forward walk of sorted probe sequences, which steps over blocks by
+/// their first keys without decoding them.
 ///
 /// FromBytes() fully validates structure (bounds, counts vs payload,
 /// block sortedness, dictionary references, ordinal ranges); decoding
@@ -62,8 +64,11 @@ class Segment {
 
   /// Rows per encoded block, for both row blocks and view blocks. The
   /// unit of transient decode: probes never decode more than the blocks
-  /// their matches live in, and never build rows they do not emit.
-  static constexpr size_t kRowsPerBlock = 512;
+  /// their matches live in, and never build rows they do not emit. It
+  /// is sized to a focused probe, which returns a few rows: after its
+  /// directory search a probe decodes at most 32 rows of columns per
+  /// block it emits from and scans at most 32 view entries to reach lo.
+  static constexpr size_t kRowsPerBlock = 32;
 
   /// Per-view inclusive probe bounds over (pair, path). An unset bound
   /// extends to the pair's full extent, so
@@ -89,10 +94,11 @@ class Segment {
   /// Physical cost of a probe, reported back to the caller (the trace
   /// store maps these onto the storage counters: searches ~ descents).
   struct ProbeCounts {
-    uint64_t entries_examined = 0;   // entries inside the probe bounds
-    uint64_t searches = 0;           // fresh directory binary searches
-    uint64_t blocks_decoded = 0;     // row blocks decoded into columns
-    uint64_t rows_materialized = 0;  // Rows built for emitted ordinals
+    uint64_t entries_examined = 0;     // entries inside the probe bounds
+    uint64_t searches = 0;             // fresh directory binary searches
+    uint64_t blocks_decoded = 0;       // row blocks decoded into columns
+    uint64_t rows_materialized = 0;    // Rows built for emitted ordinals
+    uint64_t view_blocks_scanned = 0;  // view blocks a scan entered
   };
 
   /// Per-probe-call decode workspace: the row blocks probes touched,

@@ -56,8 +56,7 @@ Row XferRow(IdPair src, IndexPath src_idx, IdPair dst, IndexPath dst_idx,
 
 /// Randomized but deterministic workload generator: repeated
 /// processor/port pairs, dense index-path ranges, occasional nulls —
-/// the shapes the encoder targets, sized to span several 512-row
-/// blocks.
+/// the shapes the encoder targets, sized to span several blocks.
 std::vector<Row> RandomXformRows(Random& rng, size_t n) {
   std::vector<Row> rows;
   rows.reserve(n);
@@ -413,10 +412,11 @@ Segment::ViewProbe SrcPointProbe(const Row& row) {
 }
 
 TEST(SegmentTest, PointProbeMaterializesOnlyEmittedRows) {
-  // A point probe into a full 512-row block decodes that block once and
-  // builds a Row for the one ordinal it emits, not for the block. The
-  // same ordinal emitted again on the same scratch reuses that Row.
-  std::vector<Row> rows = UniqueSrcXferRows(2 * Segment::kRowsPerBlock);
+  // A point probe into a full block decodes that block once and builds
+  // a Row for the one ordinal it emits, not for the block. The same
+  // ordinal emitted again on the same scratch reuses that Row.
+  constexpr size_t kBlock = Segment::kRowsPerBlock;
+  std::vector<Row> rows = UniqueSrcXferRows(2 * kBlock);
   auto seg = Segment::Build(Segment::Kind::kXfer, kRun, rows);
   ASSERT_TRUE(seg.ok()) << seg.status().ToString();
   Segment::Scratch scratch;
@@ -430,36 +430,47 @@ TEST(SegmentTest, PointProbeMaterializesOnlyEmittedRows) {
                                });
     ASSERT_TRUE(st.ok()) << st.ToString();
   };
-  probe(300);
+  const size_t mid = kBlock / 2;  // inside block 0, off its edges
+  probe(mid);
   ASSERT_EQ(emitted.size(), 1u);
-  EXPECT_EQ(emitted[0].first, 300u);
-  EXPECT_EQ(*emitted[0].second, rows[300]);
+  EXPECT_EQ(emitted[0].first, mid);
+  EXPECT_EQ(*emitted[0].second, rows[mid]);
   EXPECT_EQ(counts.blocks_decoded, 1u);
   EXPECT_EQ(counts.rows_materialized, 1u);
 
-  probe(300);
+  probe(mid);
   ASSERT_EQ(emitted.size(), 2u);
   EXPECT_EQ(emitted[1].second, emitted[0].second);
   EXPECT_EQ(counts.blocks_decoded, 1u);
   EXPECT_EQ(counts.rows_materialized, 1u);
 
-  probe(301);  // same block: no second decode
+  probe(mid + 1);  // same block: no second decode
   ASSERT_EQ(emitted.size(), 3u);
-  EXPECT_EQ(*emitted[2].second, rows[301]);
+  EXPECT_EQ(*emitted[2].second, rows[mid + 1]);
   EXPECT_EQ(counts.blocks_decoded, 1u);
   EXPECT_EQ(counts.rows_materialized, 2u);
 }
 
 TEST(SegmentTest, EarlierRowsSurviveLaterBlockDecodes) {
   // Row& emitted by earlier probes on one scratch are unchanged after
-  // later probes decode other blocks (and revisit the first one).
-  std::vector<Row> rows = UniqueSrcXferRows(3 * Segment::kRowsPerBlock + 40);
+  // later probes decode other blocks (and revisit the first one). The
+  // targets sit in blocks 0, 0, 1, 2, 3, 3, 0, 1; block 3 is the partial
+  // last one.
+  constexpr size_t kBlock = Segment::kRowsPerBlock;
+  std::vector<Row> rows = UniqueSrcXferRows(3 * kBlock + kBlock / 2);
   auto seg = Segment::Build(Segment::Kind::kXfer, kRun, rows);
   ASSERT_TRUE(seg.ok()) << seg.status().ToString();
   Segment::Scratch scratch;
   Segment::ProbeCounts counts;
   std::vector<std::pair<const Row*, Row>> pinned;
-  const size_t targets[] = {5, 511, 512, 1100, 1536, 1570, 7, 1023};
+  const size_t targets[] = {5,
+                            kBlock - 1,
+                            kBlock,
+                            2 * kBlock + kBlock / 2,
+                            3 * kBlock,
+                            rows.size() - 1,
+                            kBlock / 4,
+                            2 * kBlock - 1};
   for (size_t i : targets) {
     Status st = seg->ProbeView(Segment::kViewOut, SrcPointProbe(rows[i]),
                                &scratch, &counts,
@@ -477,15 +488,81 @@ TEST(SegmentTest, EarlierRowsSurviveLaterBlockDecodes) {
   }
 }
 
+TEST(SegmentTest, SortedBatchStepsOverBlocksWithoutDecodingThem) {
+  // Point probes ten blocks apart, in view order, on one scratch. Each
+  // target sits inside its block, off the edges, so after the first
+  // probe's directory search every later probe steps over the nine
+  // blocks between by their directory keys: it scans only its target's
+  // view block and decodes only its target's row block. The view lists
+  // row i at entry i, so view and row blocks coincide.
+  constexpr size_t kBlock = Segment::kRowsPerBlock;
+  constexpr size_t kGapBlocks = 10;
+  constexpr size_t kProbes = 16;
+  std::vector<Row> rows = UniqueSrcXferRows(kGapBlocks * kProbes * kBlock);
+  auto seg = Segment::Build(Segment::Kind::kXfer, kRun, rows);
+  ASSERT_TRUE(seg.ok()) << seg.status().ToString();
+  Segment::Scratch scratch;
+  Segment::ProbeCounts counts;
+  for (size_t k = 0; k < kProbes; ++k) {
+    const size_t target = k * kGapBlocks * kBlock + kBlock / 2;
+    std::vector<uint64_t> emitted;
+    Status st = seg->ProbeView(Segment::kViewOut, SrcPointProbe(rows[target]),
+                               &scratch, &counts,
+                               [&](uint64_t ordinal, const Row& row) {
+                                 EXPECT_EQ(row, rows[ordinal]);
+                                 emitted.push_back(ordinal);
+                               });
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(emitted, std::vector<uint64_t>{target});
+  }
+  EXPECT_EQ(counts.view_blocks_scanned, kProbes);
+  EXPECT_EQ(counts.blocks_decoded, kProbes);
+  EXPECT_EQ(counts.rows_materialized, kProbes);
+  // One search for the whole batch. Every gap is 320 entries, which
+  // the 512-row format's walk (up to eight blocks past the current
+  // one) also covered, so it searched once as well.
+  EXPECT_EQ(counts.searches, 1u);
+}
+
+TEST(SegmentTest, ForwardWalkReSearchesOnlyPastItsBound) {
+  // The walk covers 9 * 512 entries past the current one, the farthest
+  // the 512-row format's eight-block walk could reach. Two sorted
+  // probes 4600 entries apart share one search; 5000 apart, the second
+  // searches again — as it did in the 512-row format, whose walk from
+  // block 0 stopped at block 8 (entries up to 4607).
+  std::vector<Row> rows = UniqueSrcXferRows(6000);
+  auto seg = Segment::Build(Segment::Kind::kXfer, kRun, rows);
+  ASSERT_TRUE(seg.ok()) << seg.status().ToString();
+  for (auto [gap, searches] : {std::pair<size_t, uint64_t>{4600, 1},
+                               std::pair<size_t, uint64_t>{5000, 2}}) {
+    Segment::Scratch scratch;
+    Segment::ProbeCounts counts;
+    for (size_t target : {size_t{3}, 3 + gap}) {
+      size_t emitted = 0;
+      Status st = seg->ProbeView(Segment::kViewOut,
+                                 SrcPointProbe(rows[target]), &scratch, &counts,
+                                 [&](uint64_t ordinal, const Row&) {
+                                   EXPECT_EQ(ordinal, target);
+                                   ++emitted;
+                                 });
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(emitted, 1u);
+    }
+    EXPECT_EQ(counts.searches, searches) << "gap " << gap;
+    EXPECT_LE(counts.view_blocks_scanned, 3u) << "gap " << gap;
+  }
+}
+
 TEST(SegmentTest, NullSidesStraddlingBlockBoundaryDecodePerOrdinal) {
-  // Xform rows around the 511/512 block boundary alternate a null
-  // in-side and a null out-side, so each block's presence slots start
-  // mid-pattern. Every (ordinal, row) a probe emits must equal the full
-  // decode's row at that ordinal.
+  // Xform rows around the end of block 0 (12 rows before the boundary
+  // to 18 after it) alternate a null in-side and a null out-side, so
+  // each block's presence slots start mid-pattern. Every (ordinal, row)
+  // a probe emits must equal the full decode's row at that ordinal.
+  constexpr size_t kBlock = Segment::kRowsPerBlock;
   std::vector<Row> rows;
-  const size_t n = 2 * Segment::kRowsPerBlock + 30;
+  const size_t n = 2 * kBlock + 30;
   for (size_t i = 0; i < n; ++i) {
-    const bool near_edge = i >= 500 && i < 530;
+    const bool near_edge = i + 12 >= kBlock && i < kBlock + 18;
     const bool has_in = !near_edge || i % 2 == 0;
     const bool has_out = !near_edge || i % 2 == 1 || i % 5 == 0;
     const auto e = static_cast<int32_t>(i);
@@ -551,7 +628,7 @@ TEST(SegmentTest, RejectsForgedElementCounts) {
   // length check, not by attempting the allocation.
   std::string forged;
   forged += "PSEG";
-  forged.push_back(1);  // version
+  forged.push_back(2);  // version
   forged.push_back(0);  // kind
   forged.push_back(3);  // run
   forged.push_back(0);  // nrows

@@ -31,7 +31,9 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -314,13 +316,14 @@ TEST(ServerTest, WrongVersionFrameGetsTypedError) {
   wire::RequestEnvelope envelope;
   envelope.request_id = 77;
   envelope.engine = "naive";
+  FrameReader reader;
   for (uint8_t version : {uint8_t{1}, uint8_t{9}}) {
     std::string payload = wire::EncodeRequestEnvelope(envelope);
     payload[0] = static_cast<char>(version);
     ASSERT_TRUE(WriteFrame(*socket, payload).ok());
 
     std::string response_payload;
-    auto got = ReadFrame(*socket, &response_payload);
+    auto got = reader.Read(*socket, &response_payload);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(*got);
     auto response = wire::DecodeResponseEnvelope(response_payload);
@@ -349,7 +352,7 @@ TEST(ServerTest, MalformedPayloadGetsBadRequest) {
   ASSERT_TRUE(WriteFrame(*socket, payload).ok());
 
   std::string response_payload;
-  auto got = ReadFrame(*socket, &response_payload);
+  auto got = FrameReader().Read(*socket, &response_payload);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_TRUE(*got);
   auto response = wire::DecodeResponseEnvelope(response_payload);
@@ -378,7 +381,7 @@ TEST(ServerTest, OversizedFrameDropsConnection) {
   // the server closed with our payload still unread. Never a frame,
   // never a hang.
   std::string response_payload;
-  auto got = ReadFrame(*socket, &response_payload);
+  auto got = FrameReader().Read(*socket, &response_payload);
   EXPECT_TRUE(!got.ok() || !*got);
 }
 
@@ -796,6 +799,109 @@ TEST(ServerTest, TimelineCountsMatchInProcessEngine) {
     EXPECT_EQ(served->timeline.dispatch_ms, 0.0);
   }
   s.server->Stop();
+}
+
+// Frame transport over a connected stream socket pair: what the reader
+// decodes must not depend on how the bytes were split into writes.
+std::pair<Socket, Socket> StreamPair() {
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  return {Socket(fds[0]), Socket(fds[1])};
+}
+
+// The wire form of one frame: [payload length u32 LE][payload].
+std::string FrameBytes(std::string_view payload) {
+  const auto len = static_cast<uint32_t>(payload.size());
+  std::string out(4, '\0');
+  std::memcpy(out.data(), &len, 4);
+  out.append(payload);
+  return out;
+}
+
+TEST(FrameTest, WriteFrameSendsPrefixThenPayload) {
+  auto ends = StreamPair();
+  const std::string payload = "prefix and payload in one write";
+  ASSERT_TRUE(WriteFrame(ends.second, payload).ok());
+  ends.second.Close();
+  std::string wire_bytes(64, '\0');
+  size_t got = 0;
+  while (true) {
+    ssize_t r = ::recv(ends.first.fd(), wire_bytes.data() + got,
+                       wire_bytes.size() - got, 0);
+    ASSERT_GE(r, 0);
+    if (r == 0) break;
+    got += static_cast<size_t>(r);
+  }
+  wire_bytes.resize(got);
+  EXPECT_EQ(wire_bytes, FrameBytes(payload));
+}
+
+TEST(FrameTest, FrameWrittenOneByteAtATimeDecodes) {
+  auto ends = StreamPair();
+  const std::string payload = "a frame that arrives one byte per write";
+  const std::string bytes = FrameBytes(payload);
+  // The pause between bytes is what is under test: it lets the reader's
+  // recvs return the frame in pieces.
+  std::thread writer([fd = ends.second.fd(), &bytes] {
+    for (char c : bytes) {
+      ASSERT_EQ(::send(fd, &c, 1, MSG_NOSIGNAL), 1);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));  // lint: allow(sleep)
+    }
+  });
+  FrameReader reader;
+  std::string got;
+  auto read = reader.Read(ends.first, &got);
+  writer.join();
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(*read);
+  EXPECT_EQ(got, payload);
+}
+
+TEST(FrameTest, FramesSentInOneWriteDecodeInOrder) {
+  // Two frames in one write, then an empty frame and one larger than the
+  // reader's buffer in another: each Read returns exactly one frame,
+  // and the peer's close after the last is a clean EOF.
+  auto ends = StreamPair();
+  const std::string large(100 * 1024, 'x');
+  const std::vector<std::string> payloads = {"first", "second", "", large};
+  const std::string batch1 = FrameBytes(payloads[0]) + FrameBytes(payloads[1]);
+  const std::string batch2 = FrameBytes(payloads[2]) + FrameBytes(payloads[3]);
+  std::thread writer([&ends, &batch1, &batch2] {
+    for (const std::string* batch : {&batch1, &batch2}) {
+      size_t off = 0;
+      while (off < batch->size()) {
+        ssize_t w = ::send(ends.second.fd(), batch->data() + off,
+                           batch->size() - off, MSG_NOSIGNAL);
+        ASSERT_GT(w, 0);
+        off += static_cast<size_t>(w);
+      }
+    }
+    ends.second.Close();
+  });
+  FrameReader reader;
+  std::vector<std::string> got;
+  std::string payload;
+  while (true) {
+    auto read = reader.Read(ends.first, &payload);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    if (!*read) break;
+    got.push_back(payload);
+  }
+  writer.join();
+  EXPECT_EQ(got, payloads);
+}
+
+TEST(FrameTest, LengthAboveCeilingIsOutOfRange) {
+  auto ends = StreamPair();
+  const std::string bytes = FrameBytes(std::string(65, 'y'));
+  ASSERT_EQ(::send(ends.second.fd(), bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+  FrameReader reader(/*max_frame_bytes=*/64);
+  std::string payload;
+  auto read = reader.Read(ends.first, &payload);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(payload.empty());
 }
 
 }  // namespace
